@@ -31,6 +31,7 @@ from .losses import (
 from .metadata import (
     DEFAULT_EPSILON,
     AnnotationVector,
+    KernelMatrix,
     KernelVariant,
     Source,
     kernel_matrix,
@@ -402,10 +403,14 @@ def train(
         rng,
     )
     features = np.stack([e.features for e in exams]) if exams else np.zeros((0, config.input_dim))
-    summaries = _summaries_for(exams, config, spec)
+    # Each batch's partition and kernel are slices of the whole dataset's:
+    # block_row is an exam's row in the labeled block, -1 if unlabeled.
+    all_partition, all_kernel = batch_loss_inputs(_summaries_for(exams, config, spec), spec)
+    n = len(exams)
+    block_row = np.full(n, -1)
+    block_row[list(all_partition.labeled)] = np.arange(len(all_partition.labeled))
     velocity = {k: np.zeros_like(v) for k, v in encoder.params().items()}
     epoch_losses: list[float] = []
-    n = len(exams)
     for epoch in range(config.epochs):
         order = rng.permutation(n)
         batch_losses: list[float] = []
@@ -416,10 +421,18 @@ def train(
             v2 = augment(feats, config.aug_sigma, rng)
             e1, cache1 = encoder.forward(v1)
             e2, cache2 = encoder.forward(v2)
-            batch = ViewPairBatch(e1, e2)
-            partition, kernel = batch_loss_inputs([summaries[i] for i in idx], spec)
-            breakdown = loss_decoupled(batch, partition, kernel, spec.global_uniformity)
-            grads = loss_gradient("decoupled", batch, partition, kernel, spec.global_uniformity)
+            rows = block_row[idx]
+            labeled = rows >= 0
+            partition = BatchPartition(
+                tuple(np.flatnonzero(labeled).tolist()), tuple(np.flatnonzero(~labeled).tolist())
+            )
+            kernel = None
+            if labeled.any():
+                kernel = KernelMatrix(all_kernel.weights[np.ix_(rows[labeled], rows[labeled])])
+            grads = loss_gradient(
+                "decoupled", ViewPairBatch(e1, e2), partition, kernel, spec.global_uniformity
+            )
+            breakdown = grads.breakdown
             if not (
                 np.isfinite(breakdown.total)
                 and np.isfinite(grads.g1).all()
@@ -622,19 +635,29 @@ def run_study(
     Every cell is independent and owns RNG streams derived from
     (config.seed, variant_index, seed_index), so reports are identical
     for any worker count.  Workers default to the CONFCL_THREADS
-    environment variable (1 if unset); failed cells record their error
-    and leave the rest of the study running.
+    environment variable (1 if unset) and never exceed the number of
+    cells.  Repeated variants or seeds are rejected; failed cells record
+    their error and leave the rest of the study running.
     """
     variants = tuple(variants) if variants is not None else tuple(STUDY_VARIANTS)
     seeds = tuple(seeds) if seeds is not None else DEFAULT_STUDY_SEEDS
+    for name, values in (("variants", variants), ("seeds", seeds)):
+        repeated = sorted({v for v in values if values.count(v) > 1})
+        if repeated:
+            raise ValueError(f"duplicate {name}: {repeated}")
     for v in variants:
         variant_spec(v)
     if workers is None:
-        workers = int(os.environ.get(WORKERS_ENV, "1"))
+        raw = os.environ.get(WORKERS_ENV, "1")
+        try:
+            workers = int(raw)
+        except ValueError:
+            raise ValueError(f"{WORKERS_ENV}={raw!r} is not an integer") from None
     if workers < 1:
         raise ValueError("workers must be >= 1")
     args = _cell_args(config, variants, seeds)
-    if workers == 1 or len(args) <= 1:
+    workers = min(workers, len(args))
+    if workers <= 1:
         records = [_run_cell(*a) for a in args]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:

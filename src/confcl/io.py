@@ -33,8 +33,6 @@ __all__ = [
     "read_matrix_csv",
     "write_embeddings",
     "read_embeddings",
-    "write_embedding_csv",
-    "read_embedding_csv",
     "write_volume",
     "read_volume",
     "write_mask",
@@ -189,10 +187,6 @@ def read_matrix_csv(path: str) -> np.ndarray:
     return np.asarray(rows, dtype=np.float64)
 
 
-write_embedding_csv = write_matrix_csv
-read_embedding_csv = read_matrix_csv
-
-
 # ---------------------------------------------------------------------------
 # Binary formats
 # ---------------------------------------------------------------------------
@@ -205,6 +199,21 @@ def _read_exact(handle: _io.BufferedReader, count: int, path: str, what: str) ->
             f"truncated {what} at byte {handle.tell() - len(data)}", path
         )
     return data
+
+
+def _read_payload(handle: _io.BufferedReader, count: int, path: str) -> bytes:
+    """The rest of the file, which must be exactly the ``count`` bytes the header declared.
+
+    Checked against the file size first, so a corrupt header asks for no buffer.
+    """
+    remaining = os.fstat(handle.fileno()).st_size - handle.tell()
+    if count > remaining:
+        raise FileFormatError(
+            f"truncated payload: header declares {count} bytes, {remaining} follow it", path
+        )
+    if count < remaining:
+        raise FileFormatError("trailing bytes after payload", path)
+    return _read_exact(handle, count, path, "payload")
 
 
 def write_embeddings(path: str, x1: np.ndarray, x2: np.ndarray) -> None:
@@ -228,9 +237,7 @@ def read_embeddings(path: str) -> tuple[np.ndarray, np.ndarray]:
         n, d = struct.unpack("<ii", _read_exact(handle, 8, path, "header"))
         if n < 1 or d < 1:
             raise FileFormatError(f"bad dimensions ({n}, {d})", path)
-        payload = _read_exact(handle, 2 * n * d * 8, path, "payload")
-        if handle.read(1):
-            raise FileFormatError("trailing bytes after payload", path)
+        payload = _read_payload(handle, 2 * n * d * 8, path)
     flat = np.frombuffer(payload, dtype="<f8")
     x1 = flat[: n * d].reshape(n, d).astype(np.float64)
     x2 = flat[n * d :].reshape(n, d).astype(np.float64)
@@ -263,9 +270,7 @@ def _read_grid_header(handle, magic: bytes, path: str) -> tuple[int, int, int]:
 def read_volume(path: str) -> np.ndarray:
     with open(path, "rb") as handle:
         x, y, z = _read_grid_header(handle, VOL_MAGIC, path)
-        payload = _read_exact(handle, x * y * z * 4, path, "payload")
-        if handle.read(1):
-            raise FileFormatError("trailing bytes after payload", path)
+        payload = _read_payload(handle, x * y * z * 4, path)
     data = np.frombuffer(payload, dtype="<f4").reshape((x, y, z), order="F")
     data = data.astype(np.float64)
     if not np.isfinite(data).all() or data.min() < 0.0 or data.max() > 1.0:
@@ -289,9 +294,7 @@ def write_mask(path: str, data: np.ndarray) -> None:
 def read_mask(path: str) -> np.ndarray:
     with open(path, "rb") as handle:
         x, y, z = _read_grid_header(handle, MSK_MAGIC, path)
-        payload = _read_exact(handle, x * y * z, path, "payload")
-        if handle.read(1):
-            raise FileFormatError("trailing bytes after payload", path)
+        payload = _read_payload(handle, x * y * z, path)
     data = np.frombuffer(payload, dtype=np.uint8).reshape((x, y, z), order="F")
     if not np.isin(data, (0, 1)).all():
         raise FileFormatError("mask voxels must be 0 or 1", path)

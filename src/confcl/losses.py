@@ -1,27 +1,38 @@
 """Alignment/uniformity contrastive losses over paired embedding views.
 
-Three variants share the same pairwise-distance backbone:
+Every loss variant is a list of row groups.  A group of m batch rows with
+alignment weights a and repulsion weights r contributes two terms,
 
-- ``loss_nce``: unconditional alignment of same-exam pairs plus a log-sum
-  uniformity over every cross pair (the diagonal included).
-- ``loss_conditional``: kernel-weighted alignment over all pairs plus a
-  complementary (1 - w) weighted uniformity; the alignment sum is
-  normalized by N, the uniformity by N^2.
-- ``loss_decoupled``: the batch splits into labeled exams A and unlabeled
-  exams U; A gets the conditional terms (normalized by |A| and |A|^2), U
-  gets same-exam alignment and a uniformity over distinct pairs only, and
-  no cross A-U term exists.
+    align = (1/m)   sum_{i,j} a_ij d_ij
+    unif  = log((1/m^2) sum_{i,j} r_ij exp(-d_ij)),
 
-All distances are smoothed Euclidean norms sqrt(|x1_i - x2_j|^2 + eps^2),
-which keeps every loss differentiable when two rows coincide.  Analytic
-gradients are assembled from per-pair coefficients d(total)/d(d_ij) and
-checked against central finite differences.
+all read off one smoothed Euclidean distance matrix
+d_ij = sqrt(|x1_i - x2_j|^2 + eps^2), which keeps every loss
+differentiable when two rows coincide.  The variants differ only in
+their groups:
+
+- ``nce``: one group over all rows with a = I and r = 1 (the diagonal
+  included).
+- ``conditional``: one group over all rows with a = w and r = 1 - w for
+  the kernel w.  The unit kernel diagonal keeps same-exam pairs out of
+  the repulsion.  Here and for ``nce`` a zero repulsion sum raises
+  DegenerateUniformityError.
+- ``decoupled``: the labeled rows A get a = w and r = 1 - w (r = 1 - I
+  with global uniformity), the unlabeled rows U get a = I and r = 1 - I,
+  and no cross A-U pair appears.  A zero repulsion sum (every weight 1,
+  or |U| = 1) is skipped and recorded instead of fed to log.
+
+One evaluator turns the distance matrix and the groups into the
+LossBreakdown and, when a gradient is wanted, into the per-pair
+coefficients C_ij = d(total)/d(d_ij); ``loss_gradient`` returns both from
+a single distance build.  The analytic gradients are checked against
+central finite differences.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -117,10 +128,6 @@ class BatchPartition:
     def n(self) -> int:
         return len(self.labeled) + len(self.unlabeled)
 
-    def validate_for(self, batch: ViewPairBatch) -> None:
-        if set(self.labeled) | set(self.unlabeled) != set(range(batch.n)):
-            raise ValueError("partition must cover every batch row exactly once")
-
 
 @dataclass(frozen=True)
 class LossBreakdown:
@@ -147,39 +154,20 @@ class LossBreakdown:
         return float(getattr(self, name))
 
     def as_dict(self) -> dict:
-        return {
-            "align_labeled": self.align_labeled,
-            "unif_labeled": self.unif_labeled,
-            "align_unlabeled": self.align_unlabeled,
-            "unif_unlabeled": self.unif_unlabeled,
-            "present": sorted(self.present),
-            "skipped": sorted(self.skipped),
-            "n_labeled": self.n_labeled,
-            "n_unlabeled": self.n_unlabeled,
-            "total": self.total,
-        }
-
-
-def _breakdown(terms: dict[str, float], skipped: set[str], n_labeled: int, n_unlabeled: int) -> LossBreakdown:
-    return LossBreakdown(
-        align_labeled=terms.get(ALIGN_LABELED, 0.0),
-        unif_labeled=terms.get(UNIF_LABELED, 0.0),
-        align_unlabeled=terms.get(ALIGN_UNLABELED, 0.0),
-        unif_unlabeled=terms.get(UNIF_UNLABELED, 0.0),
-        present=frozenset(terms),
-        skipped=frozenset(skipped),
-        n_labeled=n_labeled,
-        n_unlabeled=n_unlabeled,
-        total=float(sum(terms.values())),
-    )
+        return dict(vars(self), present=sorted(self.present), skipped=sorted(self.skipped))
 
 
 @dataclass(frozen=True)
 class GradientBatch:
-    """Gradients of a loss total with respect to both views."""
+    """Gradients of a loss total with respect to both views.
+
+    ``breakdown`` is the loss the gradient was taken of, when the producer
+    evaluated it (``loss_gradient`` always does).
+    """
 
     g1: np.ndarray
     g2: np.ndarray
+    breakdown: LossBreakdown | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -188,14 +176,139 @@ class GradientBatch:
 
 
 def pairwise_distances(batch: ViewPairBatch) -> np.ndarray:
-    """Smoothed L2 distance matrix d[i, j] = |x1_i - x2_j| of shape (N, N)."""
+    """Smoothed L2 distance matrix d[i, j] = |x1_i - x2_j| of shape (N, N).
+
+    Its (N, N, D) difference array is the memory peak of a loss call, so
+    the loss functions build it before any N x N group weights.
+    """
     diff = batch.x1[:, None, :] - batch.x2[None, :, :]
     return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff) + EPS_DIST**2)
 
 
 # ---------------------------------------------------------------------------
+# The group core
+# ---------------------------------------------------------------------------
+
+
+class _Group(NamedTuple):
+    """Batch rows with their alignment and repulsion weights.
+
+    The alignment sum is normalized by m = len(rows) and the repulsion sum
+    by m^2.  ``skip_zero`` says whether a zero repulsion sum is skipped
+    and recorded or raises DegenerateUniformityError.
+    """
+
+    rows: np.ndarray
+    align: np.ndarray
+    repel: np.ndarray
+    terms: tuple[str, str]
+    skip_zero: bool
+
+
+def _kernel_weights(kernel: KernelMatrix | None, n: int, what: str) -> np.ndarray:
+    if kernel is None:
+        raise ValueError(f"{what}: no kernel given for {n} labeled rows")
+    if kernel.n != n:
+        raise ValueError(f"{what}: kernel shape {kernel.weights.shape} does not match n = {n}")
+    return kernel.weights
+
+
+def _groups(
+    kind: str,
+    n: int,
+    partition: BatchPartition | None,
+    kernel: KernelMatrix | None,
+    global_uniformity: bool,
+) -> list[_Group]:
+    """The row groups of one loss variant over a batch of n rows."""
+    if kind == "nce":
+        names = (ALIGN_UNLABELED, UNIF_UNLABELED)
+        return [_Group(np.arange(n), np.eye(n), np.ones((n, n)), names, False)]
+    if kind == "conditional":
+        w = _kernel_weights(kernel, n, "conditional loss")
+        return [_Group(np.arange(n), w, 1.0 - w, (ALIGN_LABELED, UNIF_LABELED), False)]
+    if kind != "decoupled":
+        raise ValueError(f"unknown loss kind {kind!r}; expected one of {LOSS_KINDS}")
+    if partition is None:
+        raise ValueError("decoupled loss needs a partition")
+    if partition.n != n or set(partition.labeled) | set(partition.unlabeled) != set(range(n)):
+        raise ValueError("partition must cover every batch row exactly once")
+    groups = []
+    if partition.labeled:
+        w = _kernel_weights(kernel, len(partition.labeled), "decoupled loss")
+        # Global uniformity repels every distinct labeled pair at weight 1.
+        repel = 1.0 - (np.eye(len(w)) if global_uniformity else w)
+        rows = np.asarray(partition.labeled, dtype=np.intp)
+        groups.append(_Group(rows, w, repel, (ALIGN_LABELED, UNIF_LABELED), True))
+    elif kernel is not None and kernel.n != 0:
+        raise ValueError("kernel given but the labeled group is empty")
+    if partition.unlabeled:
+        eye = np.eye(len(partition.unlabeled))
+        rows = np.asarray(partition.unlabeled, dtype=np.intp)
+        groups.append(_Group(rows, eye, 1.0 - eye, (ALIGN_UNLABELED, UNIF_UNLABELED), True))
+    return groups
+
+
+def _evaluate(
+    d: np.ndarray, groups: list[_Group], coefficients: bool = False
+) -> tuple[LossBreakdown, list[tuple[np.ndarray, str, np.ndarray]]]:
+    """Breakdown of the groups' terms over d.
+
+    With ``coefficients`` also returns one (rows, term, block) per present
+    term, where block[a, b] = d(term)/d(d[rows[a], rows[b]]); value-only
+    callers get an empty list and build no coefficient matrices.
+    """
+    terms: dict[str, float] = {}
+    skipped: set[str] = set()
+    sizes = {ALIGN_LABELED: 0, ALIGN_UNLABELED: 0}
+    blocks = []
+    for g in groups:
+        align_name, unif_name = g.terms
+        m = len(g.rows)
+        sizes[align_name] = m
+        d_g = d[np.ix_(g.rows, g.rows)]
+        terms[align_name] = float((g.align * d_g).sum() / m)
+        repel = g.repel * np.exp(-d_g)
+        s = float(repel.sum())
+        if s != 0.0:
+            terms[unif_name] = float(np.log(s / m**2))
+        elif g.skip_zero:
+            skipped.add(unif_name)
+        else:
+            raise DegenerateUniformityError(
+                f"degenerate uniformity: the {unif_name} repulsion sum is zero, nothing repels"
+            )
+        if coefficients:
+            blocks.append((g.rows, align_name, g.align / m))
+            if s != 0.0:
+                blocks.append((g.rows, unif_name, -repel / s))
+    # Term names double as LossBreakdown field names.
+    breakdown = LossBreakdown(
+        **terms,
+        present=frozenset(terms),
+        skipped=frozenset(skipped),
+        n_labeled=sizes[ALIGN_LABELED],
+        n_unlabeled=sizes[ALIGN_UNLABELED],
+        total=float(sum(terms.values())),
+    )
+    return breakdown, blocks
+
+
+# ---------------------------------------------------------------------------
 # Losses
 # ---------------------------------------------------------------------------
+
+
+def evaluate_loss(
+    kind: str,
+    batch: ViewPairBatch,
+    partition: BatchPartition | None = None,
+    kernel: KernelMatrix | None = None,
+    global_uniformity: bool = False,
+) -> LossBreakdown:
+    """Loss breakdown of the named variant; see LOSS_KINDS."""
+    d = pairwise_distances(batch)
+    return _evaluate(d, _groups(kind, batch.n, partition, kernel, global_uniformity))[0]
 
 
 def loss_nce(batch: ViewPairBatch) -> LossBreakdown:
@@ -204,24 +317,7 @@ def loss_nce(batch: ViewPairBatch) -> LossBreakdown:
     total = (1/N) sum_i d_ii + log((1/N^2) sum_{i,j} exp(-d_ij)); the
     uniformity sum runs over every (i, j) including i = j.
     """
-    d = pairwise_distances(batch)
-    n = batch.n
-    align = float(np.trace(d) / n)
-    unif = float(np.log(np.exp(-d).sum() / n**2))
-    return _breakdown(
-        {ALIGN_UNLABELED: align, UNIF_UNLABELED: unif}, set(), 0, n
-    )
-
-
-def _check_kernel(kernel: KernelMatrix, n: int, what: str) -> np.ndarray:
-    w = kernel.weights
-    if w.shape != (n, n):
-        raise ValueError(f"{what}: kernel shape {w.shape} does not match n = {n}")
-    if not np.all(np.diag(w) == 1.0):
-        raise ValueError(f"{what}: kernel diagonal must be identically 1")
-    if w.min() < 0.0 or w.max() > 1.0:
-        raise ValueError(f"{what}: kernel weights must lie in [0, 1]")
-    return w
+    return evaluate_loss("nce", batch)
 
 
 def loss_conditional(batch: ViewPairBatch, kernel: KernelMatrix) -> LossBreakdown:
@@ -231,21 +327,10 @@ def loss_conditional(batch: ViewPairBatch, kernel: KernelMatrix) -> LossBreakdow
           + log((1/N^2) sum_{i,j} (1 - w_ij) exp(-d_ij)).
 
     The alignment normalization is 1/N even though the sum has N^2 terms.
-    The unit kernel diagonal removes same-exam pairs from the uniformity
-    sum; if every remaining weight is 1 the sum is identically zero and
-    the loss is undefined (degenerate uniformity).
+    If every weight is 1 the uniformity sum is identically zero and the
+    loss is undefined (DegenerateUniformityError).
     """
-    n = batch.n
-    w = _check_kernel(kernel, n, "conditional loss")
-    d = pairwise_distances(batch)
-    align = float((w * d).sum() / n)
-    s = float(((1.0 - w) * np.exp(-d)).sum())
-    if s == 0.0:
-        raise DegenerateUniformityError(
-            "degenerate uniformity: every pair weight is 1, nothing repels"
-        )
-    unif = float(np.log(s / n**2))
-    return _breakdown({ALIGN_LABELED: align, UNIF_LABELED: unif}, set(), n, 0)
+    return evaluate_loss("conditional", batch, kernel=kernel)
 
 
 def partition_batch(
@@ -274,14 +359,6 @@ def partition_batch(
     return BatchPartition(tuple(labeled), tuple(unlabeled), tuple(kept))
 
 
-def _labeled_uniformity_weights(w: np.ndarray, global_uniformity: bool) -> np.ndarray:
-    if global_uniformity:
-        # Uniform repulsion between distinct labeled exams; same-exam
-        # pairs stay out of the uniformity sum.
-        return 1.0 - np.eye(len(w))
-    return 1.0 - w
-
-
 def loss_decoupled(
     batch: ViewPairBatch,
     partition: BatchPartition,
@@ -306,64 +383,7 @@ def loss_decoupled(
     identically zero (every weight 1, or |U| = 1) is skipped and flagged
     rather than fed to log.
     """
-    partition.validate_for(batch)
-    d = pairwise_distances(batch)
-    terms: dict[str, float] = {}
-    skipped: set[str] = set()
-
-    idx_a = np.asarray(partition.labeled, dtype=np.intp)
-    idx_u = np.asarray(partition.unlabeled, dtype=np.intp)
-    n_a, n_u = len(idx_a), len(idx_u)
-
-    if n_a > 0:
-        if kernel is None:
-            raise ValueError("labeled rows present but no kernel given")
-        w = _check_kernel(kernel, n_a, "decoupled loss")
-        d_a = d[np.ix_(idx_a, idx_a)]
-        terms[ALIGN_LABELED] = float((w * d_a).sum() / n_a)
-        u_w = _labeled_uniformity_weights(w, global_uniformity)
-        s_lab = float((u_w * np.exp(-d_a)).sum())
-        if s_lab == 0.0:
-            skipped.add(UNIF_LABELED)
-        else:
-            terms[UNIF_LABELED] = float(np.log(s_lab / n_a**2))
-    elif kernel is not None and kernel.n != 0:
-        raise ValueError("kernel given but the labeled group is empty")
-
-    if n_u > 0:
-        terms[ALIGN_UNLABELED] = float(d[idx_u, idx_u].sum() / n_u)
-        if n_u >= 2:
-            e_u = np.exp(-d[np.ix_(idx_u, idx_u)])
-            s_unl = float(e_u.sum() - np.trace(e_u))
-            if s_unl == 0.0:
-                skipped.add(UNIF_UNLABELED)
-            else:
-                terms[UNIF_UNLABELED] = float(np.log(s_unl / n_u**2))
-        else:
-            skipped.add(UNIF_UNLABELED)
-
-    return _breakdown(terms, skipped, n_a, n_u)
-
-
-def evaluate_loss(
-    kind: str,
-    batch: ViewPairBatch,
-    partition: BatchPartition | None = None,
-    kernel: KernelMatrix | None = None,
-    global_uniformity: bool = False,
-) -> LossBreakdown:
-    """Dispatch on loss kind; see LOSS_KINDS."""
-    if kind == "nce":
-        return loss_nce(batch)
-    if kind == "conditional":
-        if kernel is None:
-            raise ValueError("conditional loss needs a kernel")
-        return loss_conditional(batch, kernel)
-    if kind == "decoupled":
-        if partition is None:
-            raise ValueError("decoupled loss needs a partition")
-        return loss_decoupled(batch, partition, kernel, global_uniformity)
-    raise ValueError(f"unknown loss kind {kind!r}; expected one of {LOSS_KINDS}")
+    return evaluate_loss("decoupled", batch, partition, kernel, global_uniformity)
 
 
 # ---------------------------------------------------------------------------
@@ -375,25 +395,6 @@ def evaluate_loss(
 # d(d_ij)/d(x1_i) = (x1_i - x2_j) / d_ij.
 
 
-def _nce_coefficients(d: np.ndarray) -> np.ndarray:
-    n = len(d)
-    e = np.exp(-d)
-    c = -e / e.sum()
-    c[np.diag_indices(n)] += 1.0 / n
-    return c
-
-
-def _conditional_coefficients(d: np.ndarray, w: np.ndarray) -> np.ndarray:
-    n = len(d)
-    e = np.exp(-d)
-    s = ((1.0 - w) * e).sum()
-    if s == 0.0:
-        raise DegenerateUniformityError(
-            "degenerate uniformity: every pair weight is 1, nothing repels"
-        )
-    return w / n - (1.0 - w) * e / s
-
-
 def _decoupled_coefficients(
     d: np.ndarray,
     partition: BatchPartition,
@@ -401,51 +402,25 @@ def _decoupled_coefficients(
     global_uniformity: bool,
 ) -> dict[str, np.ndarray]:
     """Per-term full-size coefficient matrices; zero outside each block."""
-    n = len(d)
-    idx_a = np.asarray(partition.labeled, dtype=np.intp)
-    idx_u = np.asarray(partition.unlabeled, dtype=np.intp)
-    n_a, n_u = len(idx_a), len(idx_u)
+    groups = _groups("decoupled", len(d), partition, kernel, global_uniformity)
     out: dict[str, np.ndarray] = {}
-
-    if n_a > 0:
-        if kernel is None:
-            raise ValueError("labeled rows present but no kernel given")
-        w = _check_kernel(kernel, n_a, "decoupled gradient")
-        d_a = d[np.ix_(idx_a, idx_a)]
-        c = np.zeros((n, n))
-        c[np.ix_(idx_a, idx_a)] = w / n_a
-        out[ALIGN_LABELED] = c
-        u_w = _labeled_uniformity_weights(w, global_uniformity)
-        e_a = np.exp(-d_a)
-        s_lab = (u_w * e_a).sum()
-        if s_lab != 0.0:
-            c = np.zeros((n, n))
-            c[np.ix_(idx_a, idx_a)] = -u_w * e_a / s_lab
-            out[UNIF_LABELED] = c
-
-    if n_u > 0:
-        c = np.zeros((n, n))
-        c[idx_u, idx_u] = 1.0 / n_u
-        out[ALIGN_UNLABELED] = c
-        if n_u >= 2:
-            e_u = np.exp(-d[np.ix_(idx_u, idx_u)])
-            off = 1.0 - np.eye(n_u)
-            s_unl = (off * e_u).sum()
-            if s_unl != 0.0:
-                c = np.zeros((n, n))
-                c[np.ix_(idx_u, idx_u)] = -off * e_u / s_unl
-                out[UNIF_UNLABELED] = c
-
+    for rows, term, block in _evaluate(d, groups, coefficients=True)[1]:
+        c = np.zeros(d.shape)
+        c[np.ix_(rows, rows)] = block
+        out[term] = c
     return out
 
 
 def _gradient_from_coefficients(
-    batch: ViewPairBatch, d: np.ndarray, c: np.ndarray
+    batch: ViewPairBatch,
+    d: np.ndarray,
+    c: np.ndarray,
+    breakdown: LossBreakdown | None = None,
 ) -> GradientBatch:
     m = c / d
     g1 = m.sum(axis=1, keepdims=True) * batch.x1 - m @ batch.x2
     g2 = m.sum(axis=0)[:, None] * batch.x2 - m.T @ batch.x1
-    return GradientBatch(g1, g2)
+    return GradientBatch(g1, g2, breakdown)
 
 
 def loss_gradient(
@@ -455,25 +430,19 @@ def loss_gradient(
     kernel: KernelMatrix | None = None,
     global_uniformity: bool = False,
 ) -> GradientBatch:
-    """Analytic gradient of the loss total with respect to both views."""
+    """Analytic gradient of the loss total with respect to both views.
+
+    The breakdown evaluated on the way is returned as ``breakdown``, equal
+    to what ``evaluate_loss`` gives for the same arguments, so one call
+    (and one distance matrix) serves a whole training step.
+    """
     d = pairwise_distances(batch)
-    if kind == "nce":
-        c = _nce_coefficients(d)
-    elif kind == "conditional":
-        if kernel is None:
-            raise ValueError("conditional loss needs a kernel")
-        c = _conditional_coefficients(d, _check_kernel(kernel, batch.n, "conditional gradient"))
-    elif kind == "decoupled":
-        if partition is None:
-            raise ValueError("decoupled loss needs a partition")
-        partition.validate_for(batch)
-        per_term = _decoupled_coefficients(d, partition, kernel, global_uniformity)
-        c = np.zeros((batch.n, batch.n))
-        for term_c in per_term.values():
-            c += term_c
-    else:
-        raise ValueError(f"unknown loss kind {kind!r}; expected one of {LOSS_KINDS}")
-    return _gradient_from_coefficients(batch, d, c)
+    groups = _groups(kind, batch.n, partition, kernel, global_uniformity)
+    breakdown, blocks = _evaluate(d, groups, coefficients=True)
+    c = np.zeros((batch.n, batch.n))
+    for rows, _, block in blocks:
+        c[np.ix_(rows, rows)] += block
+    return _gradient_from_coefficients(batch, d, c, breakdown)
 
 
 def central_difference(

@@ -12,7 +12,7 @@ the confidence weighting.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -140,19 +140,21 @@ class KernelMatrix:
     """Pairwise weights over a batch of labeled exams.
 
     ``weights[i, j]`` weighs the pair (view 1 of exam i, view 2 of exam j);
-    the diagonal marks same-exam pairs and is identically 1.
+    the diagonal marks same-exam pairs and is identically 1, and every
+    weight lies in [0, 1].  Both are checked once, at construction.
     """
 
     weights: np.ndarray
-    same_exam: np.ndarray = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
         w = np.asarray(self.weights, dtype=np.float64)
         if w.ndim != 2 or w.shape[0] != w.shape[1]:
             raise ValueError(f"kernel must be square, got shape {w.shape}")
+        if not np.all(np.diag(w) == 1.0):
+            raise ValueError("kernel diagonal must be identically 1")
+        if not ((w >= 0.0) & (w <= 1.0)).all():
+            raise ValueError("kernel weights must lie in [0, 1]")
         object.__setattr__(self, "weights", w)
-        if self.same_exam is None:
-            object.__setattr__(self, "same_exam", np.eye(len(w), dtype=bool))
 
     @property
     def n(self) -> int:

@@ -680,6 +680,41 @@ def test_run_study_validates_inputs():
         run_study(cfg, variants=["proposed"], seeds=[0], workers=0)
     with pytest.raises(ValueError, match="unknown variant"):
         run_study(cfg, variants=["proposed", "mystery"], seeds=[0], workers=1)
+    with pytest.raises(ValueError, match="duplicate variants"):
+        run_study(cfg, variants=["proposed", "proposed"], seeds=[0], workers=1)
+    with pytest.raises(ValueError, match="duplicate seeds"):
+        run_study(cfg, variants=["proposed"], seeds=[0, 1, 0], workers=1)
+
+
+def test_run_study_names_a_non_integer_worker_env(monkeypatch):
+    monkeypatch.setenv(WORKERS_ENV, "four")
+    with pytest.raises(ValueError, match=WORKERS_ENV):
+        run_study(_small_config(), variants=["proposed"], seeds=[0])
+
+
+def test_run_study_clamps_workers_to_cells(monkeypatch):
+    import confcl.bench as bench
+
+    asked = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        map = staticmethod(map)
+
+    monkeypatch.setattr(bench, "ProcessPoolExecutor", SerialPool)
+    cfg = _small_config()
+    clamped = run_study(cfg, variants=["proposed", "hc"], seeds=[0], workers=64)
+    assert asked == [2]
+    serial = run_study(cfg, variants=["proposed", "hc"], seeds=[0], workers=1)
+    assert _study_json(clamped) == _study_json(serial)
 
 
 def test_aggregates_mean_std_over_clean_cells():

@@ -1,6 +1,7 @@
 """Command line tests; every command runs in process through main()."""
 
 import json
+import struct
 from fractions import Fraction
 
 import numpy as np
@@ -355,6 +356,17 @@ def test_eval_detect_malformed_volume(capsys, tmp_path):
     _, mask = _detection_fixture(tmp_path)
     bad = tmp_path / "bad.vol"
     bad.write_bytes(b"JPEG")
+    code, _, stderr = _run(capsys, ["eval-detect", "--prob", str(bad), "--ref", mask])
+    assert code == 1
+    err = json.loads(stderr)
+    assert err["error"] == "FileFormatError"
+    assert err["file"] == str(bad)
+
+
+def test_eval_detect_impossible_volume_header(capsys, tmp_path):
+    _, mask = _detection_fixture(tmp_path)
+    bad = tmp_path / "huge.vol"
+    bad.write_bytes(cio.VOL_MAGIC + struct.pack("<iii", 2**31 - 1, 2**31 - 1, 2**31 - 1))
     code, _, stderr = _run(capsys, ["eval-detect", "--prob", str(bad), "--ref", mask])
     assert code == 1
     err = json.loads(stderr)

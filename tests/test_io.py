@@ -248,6 +248,29 @@ def test_mask_rejects_non_binary_values(tmp_path):
         read_mask(str(path))
 
 
+BIG = 2**31 - 1
+
+
+@pytest.mark.parametrize(
+    "reader, header",
+    [
+        (read_volume, VOL_MAGIC + struct.pack("<iii", BIG, BIG, BIG)),
+        (read_mask, MSK_MAGIC + struct.pack("<iii", BIG, BIG, BIG)),
+        (read_embeddings, EMB_MAGIC + struct.pack("<ii", BIG, BIG) + b"\0" * 4),
+    ],
+    ids=["volume", "mask", "embeddings"],
+)
+def test_impossible_header_fails_before_reading(tmp_path, reader, header):
+    # A 16-byte file whose header declares far more payload than exists:
+    # rejected from the file size, without asking for the buffer.
+    path = tmp_path / "huge.bin"
+    path.write_bytes(header)
+    assert len(header) == 16
+    with pytest.raises(FileFormatError, match="truncated payload") as info:
+        reader(str(path))
+    assert info.value.file == str(path)
+
+
 # ---------------------------------------------------------------------------
 # Atomic writes and reports
 # ---------------------------------------------------------------------------
