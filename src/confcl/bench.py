@@ -583,14 +583,14 @@ def _evaluate_cell(
     return align, unif, breakdown
 
 
-def _run_cell(
-    config: SynthConfig, variant: str, variant_index: int, seed: int, seed_index: int
-) -> CellRecord:
+def _run_cell(config: SynthConfig, variant: str, seed: int) -> CellRecord:
     try:
         spec = variant_spec(variant)
-        # Deterministic per-cell streams; datasets depend on the seed only,
-        # so every variant sees the same exams for a given seed.
-        cell_ss = np.random.SeedSequence((config.seed, variant_index, seed_index))
+        # Per-cell streams keyed on the variant's registry position and the
+        # seed value, not on list positions, so a cell's record is the same
+        # in any study that runs it; datasets depend on the seed only, so
+        # every variant sees the same exams for a given seed.
+        cell_ss = np.random.SeedSequence((config.seed, list(STUDY_VARIANTS).index(variant), seed))
         train_ss, eval_ss, probe_ss = cell_ss.spawn(3)
         exams = generate_dataset(config, seed)
         encoder, epoch_losses = train(config, exams, np.random.default_rng(train_ss), spec)
@@ -617,11 +617,7 @@ def _run_cell(
 
 
 def _cell_args(config, variants, seeds):
-    return [
-        (config, variant, vi, seed, si)
-        for vi, variant in enumerate(variants)
-        for si, seed in enumerate(seeds)
-    ]
+    return [(config, variant, seed) for variant in variants for seed in seeds]
 
 
 def run_study(
@@ -633,11 +629,13 @@ def run_study(
     """Sweep variant x seed cells and aggregate.
 
     Every cell is independent and owns RNG streams derived from
-    (config.seed, variant_index, seed_index), so reports are identical
-    for any worker count.  Workers default to the CONFCL_THREADS
+    (config.seed, the variant's position in STUDY_VARIANTS, the seed
+    value), so a cell's record is the same for any worker count, variant
+    order or set of other cells.  Workers default to the CONFCL_THREADS
     environment variable (1 if unset) and never exceed the number of
-    cells.  Repeated variants or seeds are rejected; failed cells record
-    their error and leave the rest of the study running.
+    cells.  Repeated variants, repeated seeds and negative seeds are
+    rejected; failed cells record their error and leave the rest of the
+    study running.
     """
     variants = tuple(variants) if variants is not None else tuple(STUDY_VARIANTS)
     seeds = tuple(seeds) if seeds is not None else DEFAULT_STUDY_SEEDS
@@ -645,6 +643,8 @@ def run_study(
         repeated = sorted({v for v in values if values.count(v) > 1})
         if repeated:
             raise ValueError(f"duplicate {name}: {repeated}")
+    if any(s < 0 for s in seeds):
+        raise ValueError(f"seeds must be >= 0, got {sorted(s for s in seeds if s < 0)}")
     for v in variants:
         variant_spec(v)
     if workers is None:

@@ -274,7 +274,7 @@ def _cmd_eval_detect(args: argparse.Namespace) -> int:
                 "threshold": r.threshold,
                 "score": r.score,
                 "has_reference": r.has_reference,
-                "n_candidates": len(r.candidates),
+                "n_candidates": len(r.outcome.true_positives) + len(r.outcome.false_positives),
                 "true_positives": [
                     {
                         "candidate_id": tp.candidate_id,
@@ -331,7 +331,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         _write_cells_csv(args.cells_csv, report)
     if args.summary_csv is not None:
         _write_summary_csv(args.summary_csv, report)
-    return 0
+    return 1 if any(r.error is not None for r in report.records) else 0
 
 
 def _write_cells_csv(path: str, report: bench.StudyReport) -> None:

@@ -1,18 +1,21 @@
 """Lesion detection evaluation on 3D probability volumes.
 
-A probability volume is thresholded (fixed or dynamic), the resulting
-mask splits into connected components, components become candidates
-scored by their peak probability, and candidates match reference lesions
-greedily by descending probability under a strict IoU criterion.  Exam
-and lesion level ROC AUC plus a dataset-pooled average precision follow
-the matched outcomes; missed references enter the lesion pool as
-zero-score positives.
+A probability volume is thresholded (fixed or dynamic) and each mask is
+labeled once into label arrays: its foreground voxel indices and the
+component of each voxel.  Components become candidates scored by their
+peak probability, and candidates match reference lesions greedily by
+descending probability under a strict IoU criterion, with every
+intersection read from a sparse candidate x reference contingency table.
+Exam and lesion level ROC AUC plus a dataset-pooled average precision
+follow the matched outcomes; missed references enter the lesion pool as
+zero-score positives.  Only the public adapters that return
+``Component`` objects build voxel sets.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 from scipy import ndimage
@@ -44,10 +47,17 @@ CONNECTIVITIES = (6, 18, 26)
 
 
 @dataclass(frozen=True)
-class ProbVolume:
-    """Lesion probabilities on an (X, Y, Z) grid, every voxel in [0, 1]."""
-
+class _Grid:
     data: np.ndarray
+
+    @property
+    def dims(self) -> tuple[int, int, int]:
+        return self.data.shape  # type: ignore[return-value]
+
+
+@dataclass(frozen=True)
+class ProbVolume(_Grid):
+    """Lesion probabilities on an (X, Y, Z) grid, every voxel in [0, 1]."""
 
     def __post_init__(self) -> None:
         d = np.asarray(self.data, dtype=np.float64)
@@ -57,39 +67,24 @@ class ProbVolume:
             raise ValueError("volume voxels must be finite and lie in [0, 1]")
         object.__setattr__(self, "data", d)
 
-    @property
-    def dims(self) -> tuple[int, int, int]:
-        return self.data.shape  # type: ignore[return-value]
-
 
 @dataclass(frozen=True)
-class BinaryMask:
+class BinaryMask(_Grid):
     """A {0, 1} voxel mask on an (X, Y, Z) grid."""
-
-    data: np.ndarray
 
     def __post_init__(self) -> None:
         d = np.asarray(self.data)
         if d.ndim != 3:
             raise ValueError(f"mask must be 3D, got shape {d.shape}")
-        if d.dtype != np.bool_:
-            if not np.isin(d, (0, 1)).all():
-                raise ValueError("mask voxels must be 0 or 1")
-            d = d.astype(bool)
-        object.__setattr__(self, "data", d)
-
-    @property
-    def dims(self) -> tuple[int, int, int]:
-        return self.data.shape  # type: ignore[return-value]
+        if d.dtype != np.bool_ and not np.isin(d, (0, 1)).all():
+            raise ValueError("mask voxels must be 0 or 1")
+        object.__setattr__(self, "data", d.astype(bool, copy=False))
 
 
 @dataclass(frozen=True)
 class Component:
-    """One connected set of foreground voxels, id given by scan order.
-
-    Components are ordered by (min z, min y, min x) over their voxels,
-    which fixes candidate ids independently of labeling internals.
-    """
+    """One connected set of foreground voxels; ids follow the documented
+    component order (see connected_components), not labeling internals."""
 
     id: int
     voxels: frozenset[tuple[int, int, int]]
@@ -141,7 +136,6 @@ class ExamResult:
     """Everything the dataset-level metrics need from one exam."""
 
     exam_id: str
-    candidates: tuple[LesionCandidate, ...]
     outcome: DetectionOutcome
     score: float
     has_reference: bool
@@ -168,8 +162,56 @@ class DynamicThresholdParams:
 
 
 # ---------------------------------------------------------------------------
-# Thresholding and components
+# Thresholding, labeling and matching
 # ---------------------------------------------------------------------------
+
+
+class _Labels(NamedTuple):
+    """Foreground voxels as flat indices counted x fastest (the VOL1/MSK1
+    file order, so index order is (z, y, x) order), the component of each
+    voxel numbered in the documented order, and the component count."""
+
+    index: np.ndarray
+    label: np.ndarray
+    n: int
+
+
+def _label(mask_data: np.ndarray, connectivity: int) -> _Labels:
+    """Label once, then order the components on their foreground voxels.
+
+    Labeling the (Z, Y, X) view gives C-ordered labels that ravel x
+    fastest; every neighborhood structure is symmetric under transposing.
+    """
+    if connectivity not in CONNECTIVITIES:
+        raise ValueError(f"connectivity must be one of {CONNECTIVITIES}, got {connectivity}")
+    structure = ndimage.generate_binary_structure(3, CONNECTIVITIES.index(connectivity) + 1)
+    labeled, n = ndimage.label(mask_data.T, structure)
+    nx, ny, _ = mask_data.shape
+    flat = labeled.ravel()
+    index = np.flatnonzero(flat)
+    raw = flat[index] - 1
+    first, min_y, min_x = (np.full(n, flat.size) for _ in range(3))
+    np.minimum.at(first, raw, index)  # smallest voxel in (z, y, x) order
+    np.minimum.at(min_y, raw, index // nx % ny)
+    np.minimum.at(min_x, raw, index % nx)
+    rank = np.argsort(np.lexsort((first, min_x, min_y, first // (nx * ny))))
+    return _Labels(index, rank[raw], n)
+
+
+def _peaks(volume: ProbVolume, labels: _Labels) -> list[float]:
+    peaks = np.full(labels.n, -np.inf)
+    np.maximum.at(peaks, labels.label, volume.data.ravel(order="F")[labels.index])
+    return peaks.tolist()
+
+
+def _components(labels: _Labels, dims: tuple[int, int, int]) -> tuple[Component, ...]:
+    order = np.argsort(labels.label, kind="stable")
+    coords = np.stack(np.unravel_index(labels.index[order], dims, order="F"), axis=1).tolist()
+    ends = np.cumsum(np.bincount(labels.label, minlength=labels.n)).tolist()
+    return tuple(
+        Component(i, frozenset(map(tuple, coords[start:end])), dims)
+        for i, (start, end) in enumerate(zip([0] + ends, ends))
+    )
 
 
 def threshold_volume(volume: ProbVolume, t: float) -> BinaryMask:
@@ -186,31 +228,7 @@ def connected_components(mask: BinaryMask, connectivity: int = 26) -> tuple[Comp
     per component, ties broken by the lexicographically smallest voxel
     in (z, y, x) order.
     """
-    if connectivity not in CONNECTIVITIES:
-        raise ValueError(f"connectivity must be one of {CONNECTIVITIES}, got {connectivity}")
-    rank = {6: 1, 18: 2, 26: 3}[connectivity]
-    structure = ndimage.generate_binary_structure(3, rank)
-    labeled, n_labels = ndimage.label(mask.data, structure=structure)
-    if n_labels == 0:
-        return ()
-    coords = np.argwhere(labeled > 0)
-    labels = labeled[coords[:, 0], coords[:, 1], coords[:, 2]]
-    order = np.argsort(labels, kind="stable")
-    coords = coords[order]
-    ends = np.searchsorted(labels[order], np.arange(1, n_labels + 1), side="right")
-    raw: list[tuple[tuple[int, int, int, tuple[int, int, int]], frozenset]] = []
-    for lab in range(n_labels):
-        chunk = coords[(0 if lab == 0 else ends[lab - 1]) : ends[lab]]
-        voxels = frozenset((int(x), int(y), int(z)) for x, y, z in chunk)
-        min_z = int(chunk[:, 2].min())
-        min_y = int(chunk[:, 1].min())
-        min_x = int(chunk[:, 0].min())
-        first = min((z, y, x) for x, y, z in voxels)
-        raw.append(((min_z, min_y, min_x, first), voxels))
-    raw.sort(key=lambda item: item[0])
-    return tuple(
-        Component(idx, voxels, mask.dims) for idx, (_, voxels) in enumerate(raw)
-    )
+    return _components(_label(mask.data, connectivity), mask.dims)
 
 
 def dynamic_threshold(
@@ -225,13 +243,11 @@ def dynamic_threshold(
     t_min; the mask at the final t is returned together with that t.  An
     all-background volume therefore ends at exactly t_min.
     """
-    k = 0
-    t = params.t_start
+    k, t = 0, params.t_start
     while True:
         mask = threshold_volume(volume, t)
-        comps = connected_components(mask, connectivity)
-        count = sum(1 for c in comps if c.size >= params.min_voxels)
-        if count >= params.max_candidates or t <= params.t_min:
+        sizes = np.bincount(_label(mask.data, connectivity).label)
+        if (sizes >= params.min_voxels).sum() >= params.max_candidates or t <= params.t_min:
             return mask, t
         k += 1
         t = max(params.t_start - k * params.step, params.t_min)
@@ -243,23 +259,50 @@ def lesion_candidates(
     """Score each mask component by its peak probability in the volume."""
     if volume.dims != mask.dims:
         raise ValueError(f"volume dims {volume.dims} != mask dims {mask.dims}")
-    out = []
-    for comp in connected_components(mask, connectivity):
-        idx = np.array(sorted(comp.voxels))
-        peak = float(volume.data[idx[:, 0], idx[:, 1], idx[:, 2]].max())
-        out.append(LesionCandidate(comp, peak))
-    return tuple(out)
+    labels = _label(mask.data, connectivity)
+    return tuple(map(LesionCandidate, _components(labels, mask.dims), _peaks(volume, labels)))
 
 
-# ---------------------------------------------------------------------------
-# Matching
-# ---------------------------------------------------------------------------
+def _match(cand: _Labels, probs, cand_ids, ref: _Labels, ref_ids, tau: float) -> DetectionOutcome:
+    """Greedy matching on a sparse candidate x reference contingency table.
+
+    Candidates (scored by ``probs``, named by ``cand_ids``) may overlap;
+    reference voxels must be distinct and sorted."""
+    if not (0.0 <= tau < 1.0):
+        raise ValueError(f"tau {tau} outside [0, 1)")
+    p, q = tau.as_integer_ratio()
+    at = np.searchsorted(ref.index, cand.index)
+    hit = at < ref.index.size
+    hit[hit] = ref.index[at[hit]] == cand.index[hit]
+    pairs, inter = np.unique(cand.label[hit] * ref.n + ref.label[at[hit]], return_counts=True)
+    bounds = np.searchsorted(pairs, np.arange(cand.n + 1) * ref.n).tolist()
+    pair_ref, inter = (pairs % max(ref.n, 1)).tolist(), inter.tolist()
+    cand_size = np.bincount(cand.label, minlength=cand.n).tolist()
+    ref_size = np.bincount(ref.label, minlength=ref.n).tolist()
+    is_open = [True] * ref.n
+    tps, fps = [], []
+    for c in sorted(range(cand.n), key=lambda c: (-probs[c], cand_ids[c])):
+        best = (-1, 0, 1)  # (reference, intersection, union) with the first highest IoU
+        for r, i in zip(pair_ref[bounds[c] : bounds[c + 1]], inter[bounds[c] : bounds[c + 1]]):
+            u = cand_size[c] + ref_size[r] - i
+            if is_open[r] and i * best[2] > best[1] * u:
+                best = (r, i, u)
+        r, i, u = best
+        if i * q > p * u:  # IoU > tau, exactly
+            is_open[r] = False
+            tps.append(TruePositive(cand_ids[c], ref_ids[r], i / u, probs[c]))
+        else:
+            fps.append(FalsePositive(cand_ids[c], probs[c]))
+    fns = tuple(ref_ids[r] for r in range(ref.n) if is_open[r])
+    return DetectionOutcome(tuple(tps), tuple(fps), fns, ref.n)
 
 
-def _iou(a: Component, b: Component) -> Fraction:
-    inter = len(a.voxels & b.voxels)
-    union = len(a.voxels | b.voxels)
-    return Fraction(inter, union)
+def _component_labels(components: list[Component], dims: tuple[int, int, int]) -> _Labels:
+    voxels = np.array([v for c in components for v in c.voxels], dtype=np.intp).reshape(-1, 3)
+    index = np.ravel_multi_index(voxels.T, dims, order="F")
+    label = np.repeat(np.arange(len(components)), [c.size for c in components])
+    order = np.argsort(index, kind="stable")
+    return _Labels(index[order], label[order], len(components))
 
 
 def match_lesions(
@@ -273,33 +316,19 @@ def match_lesions(
     and counts as a true positive only when that IoU is strictly above
     tau; the comparison runs in exact rational arithmetic so a ratio that
     lands exactly on tau is rejected.  Leftover references are false
-    negatives.
+    negatives.  References are the components of one mask, so two that
+    share a voxel are rejected.
     """
-    if not (0.0 <= tau < 1.0):
-        raise ValueError(f"tau {tau} outside [0, 1)")
     dims = {c.component.dims for c in candidates} | {r.dims for r in references}
     if len(dims) > 1:
         raise ValueError(f"candidates and references disagree on dims: {sorted(dims)}")
-    tau_exact = Fraction(tau)
-    open_refs = list(references)
-    tps: list[TruePositive] = []
-    fps: list[FalsePositive] = []
-    for cand in sorted(candidates, key=lambda c: (-c.probability, c.id)):
-        best = None
-        best_iou = Fraction(0)
-        for ref in open_refs:
-            iou = _iou(cand.component, ref)
-            if best is None or iou > best_iou:
-                best, best_iou = ref, iou
-        if best is not None and best_iou > tau_exact:
-            open_refs.remove(best)
-            tps.append(
-                TruePositive(cand.id, best.id, float(best_iou), cand.probability)
-            )
-        else:
-            fps.append(FalsePositive(cand.id, cand.probability))
-    fns = tuple(r.id for r in open_refs)
-    return DetectionOutcome(tuple(tps), tuple(fps), fns, len(references))
+    shape = dims.pop() if dims else (1, 1, 1)
+    ref = _component_labels(list(references), shape)
+    if (np.diff(ref.index) == 0).any():
+        raise ValueError("references overlap: two of them share a voxel")
+    cand = _component_labels([c.component for c in candidates], shape)
+    probs = [c.probability for c in candidates]
+    return _match(cand, probs, [c.id for c in candidates], ref, [r.id for r in references], tau)
 
 
 def exam_score(candidates: tuple[LesionCandidate, ...] | list[LesionCandidate]) -> float:
@@ -316,7 +345,7 @@ def evaluate_exam(
     threshold: float | None = None,
     dynamic: DynamicThresholdParams | None = None,
 ) -> ExamResult:
-    """Threshold, extract candidates, and match against the reference mask.
+    """Threshold, label candidates, and match against the reference mask.
 
     Exactly one of ``threshold`` (fixed) or ``dynamic`` must be given.
     """
@@ -328,17 +357,10 @@ def evaluate_exam(
         mask, t = threshold_volume(volume, threshold), threshold
     else:
         mask, t = dynamic_threshold(volume, dynamic, connectivity)
-    candidates = lesion_candidates(volume, mask, connectivity)
-    refs = connected_components(reference, connectivity)
-    outcome = match_lesions(candidates, refs, tau)
-    return ExamResult(
-        exam_id=exam_id,
-        candidates=candidates,
-        outcome=outcome,
-        score=exam_score(candidates),
-        has_reference=len(refs) > 0,
-        threshold=t,
-    )
+    cand, ref = _label(mask.data, connectivity), _label(reference.data, connectivity)
+    peaks = _peaks(volume, cand)
+    outcome = _match(cand, peaks, range(cand.n), ref, range(ref.n), tau)
+    return ExamResult(exam_id, outcome, max(peaks, default=0.0), ref.n > 0, t)
 
 
 # ---------------------------------------------------------------------------
@@ -361,55 +383,34 @@ def roc_auc(scores: list[float] | np.ndarray, labels: list[int] | np.ndarray) ->
         raise ValueError("scores must be finite")
     if not np.isin(y, (0, 1)).all():
         raise ValueError("labels must be 0 or 1")
-    n_pos = int((y == 1).sum())
-    n_neg = int((y == 0).sum())
+    _, group = np.unique(s, return_inverse=True)
+    pos = np.bincount(group[y == 1], minlength=s.size)
+    neg = np.bincount(group[y == 0], minlength=s.size)
+    n_pos, n_neg = int(pos.sum()), int(neg.sum())
     if n_pos == 0 or n_neg == 0:
         raise ValueError("AUC undefined: need at least one positive and one negative")
-    order = np.argsort(s, kind="stable")
-    s, y = s[order], y[order]
-    wins2 = 0
-    neg_below = 0
-    i = 0
-    n = len(s)
-    while i < n:
-        j = i
-        while j < n and s[j] == s[i]:
-            j += 1
-        group_pos = int((y[i:j] == 1).sum())
-        group_neg = (j - i) - group_pos
-        wins2 += group_pos * (2 * neg_below + group_neg)
-        neg_below += group_neg
-        i = j
+    # Each positive beats the negatives in lower groups and ties its own.
+    wins2 = int((pos * (2 * (np.cumsum(neg) - neg) + neg)).sum())
     return wins2 / (2 * n_pos * n_neg)
 
 
 def exam_auc(results: list[ExamResult]) -> float:
     """Case-level AUC of exam scores against reference presence."""
-    scores = [r.score for r in results]
-    labels = [1 if r.has_reference else 0 for r in results]
-    return roc_auc(scores, labels)
+    return roc_auc([r.score for r in results], [int(r.has_reference) for r in results])
 
 
 def lesion_auc(outcomes: list[DetectionOutcome]) -> float:
     """Lesion-level AUC over the pooled candidate/reference population.
 
-    True positives contribute (probability, 1), false positives
-    (probability, 0), and every missed reference is injected as a
-    zero-score positive so undetected lesions still count against the
-    ranking.
+    True positives score (probability, 1), false positives (probability,
+    0), and every missed reference enters as a zero-score positive.
     """
     scores: list[float] = []
     labels: list[int] = []
     for out in outcomes:
-        for tp in out.true_positives:
-            scores.append(tp.probability)
-            labels.append(1)
-        for fp in out.false_positives:
-            scores.append(fp.probability)
-            labels.append(0)
-        for _ in out.false_negatives:
-            scores.append(0.0)
-            labels.append(1)
+        tps, fps, n_fn = out.true_positives, out.false_positives, len(out.false_negatives)
+        scores += [tp.probability for tp in tps] + [fp.probability for fp in fps] + [0.0] * n_fn
+        labels += [1] * len(tps) + [0] * len(fps) + [1] * n_fn
     return roc_auc(scores, labels)
 
 
@@ -424,15 +425,13 @@ def average_precision(outcomes: list[DetectionOutcome]) -> float:
     n_ref = sum(out.n_reference for out in outcomes)
     if n_ref == 0:
         raise ValueError("average precision undefined without reference lesions")
-    pool: list[tuple[float, int, int, bool]] = []
-    for exam_idx, out in enumerate(outcomes):
-        for tp in out.true_positives:
-            pool.append((tp.probability, exam_idx, tp.candidate_id, True))
-        for fp in out.false_positives:
-            pool.append((fp.probability, exam_idx, fp.candidate_id, False))
+    pool = [
+        (x.probability, exam_idx, x.candidate_id, isinstance(x, TruePositive))
+        for exam_idx, out in enumerate(outcomes)
+        for x in out.true_positives + out.false_positives
+    ]
     pool.sort(key=lambda item: (-item[0], item[1], item[2]))
-    ap = 0.0
-    tp_seen = 0
+    ap, tp_seen = 0.0, 0
     for rank, (_, _, _, is_tp) in enumerate(pool, start=1):
         if is_tp:
             tp_seen += 1

@@ -629,6 +629,21 @@ def test_run_study_deterministic():
     assert _study_json(a) == _study_json(b)
 
 
+def test_run_study_cell_depends_only_on_variant_and_seed():
+    cfg = _small_config()
+    cell = lambda report: json.dumps(
+        next(r.as_dict() for r in report.records if (r.variant, r.seed) == ("unsupervised", 1)),
+        sort_keys=True,
+    )
+    alone = cell(run_study(cfg, variants=["unsupervised"], seeds=[1], workers=1))
+    for variants, seeds in (
+        (["proposed", "unsupervised"], [0, 1]),
+        (["unsupervised", "proposed"], [1, 0]),
+        (["hc", "proposed", "unsupervised"], [2, 1]),
+    ):
+        assert cell(run_study(cfg, variants=variants, seeds=seeds, workers=1)) == alone
+
+
 def test_run_study_worker_count_does_not_change_results():
     cfg = _small_config()
     serial = run_study(cfg, variants=["proposed", "hc"], seeds=[0], workers=1)
@@ -684,6 +699,8 @@ def test_run_study_validates_inputs():
         run_study(cfg, variants=["proposed", "proposed"], seeds=[0], workers=1)
     with pytest.raises(ValueError, match="duplicate seeds"):
         run_study(cfg, variants=["proposed"], seeds=[0, 1, 0], workers=1)
+    with pytest.raises(ValueError, match="seeds must be >= 0"):
+        run_study(cfg, variants=["proposed"], seeds=[0, -1], workers=1)
 
 
 def test_run_study_names_a_non_integer_worker_env(monkeypatch):

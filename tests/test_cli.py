@@ -484,6 +484,25 @@ def test_simulate_rerun_is_byte_identical(capsys, tmp_path):
     assert out_a.read_bytes() == out_b.read_bytes()
 
 
+def test_simulate_exits_1_when_a_cell_fails(capsys, tmp_path):
+    # A learning rate this large diverges in the first epoch.
+    cfg = _tiny_config(
+        tmp_path, learning_rate=1e280, normalize_embeddings=False, frac_unlabeled=1.0
+    )
+    out = tmp_path / "report.json"
+    cells = tmp_path / "cells.csv"
+    code, stdout, _ = _run(
+        capsys,
+        ["simulate", "--config", cfg, "--variants", "unsupervised", "--seeds", "0",
+         "--workers", "1", "--out", str(out), "--cells-csv", str(cells)],
+    )
+    assert code == 1
+    assert stdout == ""
+    [record] = json.loads(out.read_text())["records"]
+    assert record["error"].startswith("TrainingDivergedError")
+    assert cells.read_text().splitlines()[1] == "unsupervised,0,,,,,"
+
+
 def test_simulate_seed_override(capsys, tmp_path):
     cfg = _tiny_config(tmp_path)
     out = tmp_path / "report.json"

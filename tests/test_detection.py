@@ -1,8 +1,8 @@
 """Component extraction, lesion matching, and ranking metrics.
 
-Oracles: a queue flood fill with explicit neighbor offsets, exhaustive
-positive/negative pair counting for AUC, and a literal precision-recall
-step sum for average precision.
+Oracles: a queue flood fill with explicit neighbor offsets, a voxel-set
+greedy matcher built on it, exhaustive positive/negative pair counting for
+AUC, and a literal precision-recall step sum for average precision.
 """
 
 from fractions import Fraction
@@ -10,6 +10,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from confcl import detection
 from confcl.detection import (
     BinaryMask,
     Component,
@@ -89,6 +90,41 @@ def _flood_fill(data, connectivity):
         )
     )
     return comps
+
+
+def _oracle_exam(prob, ref, tau, connectivity, threshold=None, dynamic=None):
+    """One exam straight from the definitions: flood-filled voxel sets,
+    peak scores, and greedy matching on exact set IoU."""
+    if dynamic is None:
+        t = threshold
+        comps = _flood_fill(prob > t, connectivity)
+    else:
+        k, t = 0, dynamic.t_start
+        while True:
+            comps = _flood_fill(prob > t, connectivity)
+            sizeable = sum(len(c) >= dynamic.min_voxels for c in comps)
+            if sizeable >= dynamic.max_candidates or t <= dynamic.t_min:
+                break
+            k += 1
+            t = max(dynamic.t_start - k * dynamic.step, dynamic.t_min)
+    cands = [(max(float(prob[v]) for v in c), cid, c) for cid, c in enumerate(comps)]
+    refs = _flood_fill(ref, connectivity)
+    open_refs = list(enumerate(refs))
+    tps, fps = [], []
+    for p, cid, voxels in sorted(cands, key=lambda c: (-c[0], c[1])):
+        best, best_iou = None, Fraction(0)
+        for rid, rvox in open_refs:
+            iou = Fraction(len(voxels & rvox), len(voxels | rvox))
+            if best is None or iou > best_iou:
+                best, best_iou = (rid, rvox), iou
+        if best is not None and best_iou > Fraction(tau):
+            open_refs.remove(best)
+            tps.append(TruePositive(cid, best[0], float(best_iou), p))
+        else:
+            fps.append(FalsePositive(cid, p))
+    outcome = DetectionOutcome(tuple(tps), tuple(fps), tuple(r for r, _ in open_refs), len(refs))
+    score = max((c[0] for c in cands), default=0.0)
+    return outcome, score, t
 
 
 def _auc_pairs(scores, labels):
@@ -412,6 +448,19 @@ def test_match_rejects_mixed_dims_and_bad_tau():
         match_lesions([], [], tau=1.0)
 
 
+def test_match_rejects_overlapping_references():
+    dims = (3, 1, 1)
+    a = _component({(0, 0, 0), (1, 0, 0)}, dims, cid=0)
+    b = _component({(1, 0, 0), (2, 0, 0)}, dims, cid=1)
+    cand = LesionCandidate(_component({(0, 0, 0)}, dims, cid=0), 0.9)
+    with pytest.raises(ValueError, match="share a voxel"):
+        match_lesions([cand], [a, b])
+    # Overlapping candidates are fine: each is scored on its own voxels.
+    out = match_lesions([LesionCandidate(a, 0.9), LesionCandidate(b, 0.8)], [a])
+    assert [(tp.candidate_id, tp.overlap) for tp in out.true_positives] == [(0, 1.0)]
+    assert [fp.candidate_id for fp in out.false_positives] == [1]
+
+
 def test_exam_score_takes_the_peak_candidate():
     dims = (2, 1, 1)
     mk = lambda p, cid: LesionCandidate(_component({(cid, 0, 0)}, dims, cid), p)
@@ -477,7 +526,6 @@ def test_exam_auc_delegates_to_scores_and_flags():
     def result(score, has_ref):
         return ExamResult(
             exam_id=f"e{score}",
-            candidates=(),
             outcome=_outcome(),
             score=score,
             has_reference=has_ref,
@@ -617,3 +665,63 @@ def test_evaluate_exam_negative_case_has_no_reference():
     assert not res.has_reference
     assert res.score == 0.0
     assert res.outcome.n_reference == 0
+
+
+def test_evaluate_exam_matches_set_oracle_on_random_volumes():
+    # Tie-heavy probabilities, references that partly follow the
+    # candidates, both memory layouts, every connectivity, tau on both
+    # sides of common IoUs.
+    rng = np.random.default_rng(39)
+    levels = np.array([0.0, 0.2, 0.4, 0.5, 0.6, 0.8, 1.0])
+    n_tp = 0
+    for _ in range(200):
+        dims = tuple(int(rng.integers(1, 8)) for _ in range(3))
+        prob = rng.choice(levels, dims)
+        ref = (prob >= 0.5) ^ (rng.random(dims) < 0.2)
+        if rng.random() < 0.5:  # the x-fastest layout the file readers return
+            prob, ref = np.asfortranarray(prob), np.asfortranarray(ref)
+        connectivity = int(rng.choice([6, 18, 26]))
+        tau = float(rng.choice([0.0, 0.1, 0.25, 0.5]))
+        if rng.random() < 0.5:
+            mode = dict(threshold=float(rng.choice([0.0, 0.4, 0.5])))
+        else:
+            mode = dict(
+                dynamic=DynamicThresholdParams(
+                    t_start=0.8,
+                    t_min=0.2,
+                    step=0.2,
+                    max_candidates=int(rng.integers(1, 5)),
+                    min_voxels=int(rng.integers(1, 4)),
+                )
+            )
+        got = evaluate_exam(
+            "e", ProbVolume(prob), BinaryMask(ref), tau, connectivity, **mode
+        )
+        outcome, score, t = _oracle_exam(prob, ref, tau, connectivity, **mode)
+        assert got.outcome == outcome
+        assert got.score == score
+        assert got.threshold == t
+        assert got.has_reference == (outcome.n_reference > 0)
+        n_tp += len(outcome.true_positives)
+    assert n_tp > 100
+
+
+def test_evaluate_exam_builds_no_component(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("voxel sets built")
+
+    monkeypatch.setattr(detection, "Component", forbidden)
+    monkeypatch.setattr(detection, "frozenset", forbidden, raising=False)
+    data = np.zeros((6, 3, 2))
+    data[0:2, 0:2, 0] = 0.9
+    data[4:6, 0:2, 1] = 0.7
+    v = ProbVolume(data)
+    ref = np.zeros((6, 3, 2), dtype=bool)
+    ref[0:2, 0:2, 0] = True
+    m = BinaryMask(ref)
+    params = DynamicThresholdParams(max_candidates=2, min_voxels=1)
+    assert dynamic_threshold(v, params)[1] == 0.6
+    for mode in (dict(threshold=0.5), dict(dynamic=params)):
+        res = evaluate_exam("e", v, m, **mode)
+        assert [tp.candidate_id for tp in res.outcome.true_positives] == [0]
+        assert [fp.candidate_id for fp in res.outcome.false_positives] == [1]
