@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from scipy.special import expit
@@ -143,30 +143,7 @@ class SynthConfig:
             raise ValueError("epsilon outside (0, 1]")
 
     def as_dict(self) -> dict:
-        return {
-            "n_exams": self.n_exams,
-            "input_dim": self.input_dim,
-            "hidden_dim": self.hidden_dim,
-            "embed_dim": self.embed_dim,
-            "class_separation": self.class_separation,
-            "noise_sigma": self.noise_sigma,
-            "aug_sigma": self.aug_sigma,
-            "annotator": {
-                "n_min": self.annotator.n_min,
-                "n_max": self.annotator.n_max,
-                "p_flip": self.annotator.p_flip,
-                "p_abstain": self.annotator.p_abstain,
-            },
-            "frac_unlabeled": self.frac_unlabeled,
-            "variant": self.variant,
-            "epochs": self.epochs,
-            "batch_size": self.batch_size,
-            "learning_rate": self.learning_rate,
-            "momentum": self.momentum,
-            "seed": self.seed,
-            "normalize_embeddings": self.normalize_embeddings,
-            "epsilon": self.epsilon,
-        }
+        return asdict(self)
 
 
 def default_config() -> SynthConfig:
@@ -510,18 +487,11 @@ class CellRecord:
     error: str | None = None
 
     def as_dict(self) -> dict:
-        return {
-            "variant": self.variant,
-            "seed": self.seed,
-            "probe_acc": self.probe_acc,
-            "probe_auc": self.probe_auc,
-            "align": self.align,
-            "unif": self.unif,
-            "final_loss": self.final_loss,
-            "breakdown": self.breakdown.as_dict() if self.breakdown else None,
-            "epoch_losses": list(self.epoch_losses),
-            "error": self.error,
-        }
+        return dict(
+            vars(self),
+            breakdown=self.breakdown.as_dict() if self.breakdown else None,
+            epoch_losses=list(self.epoch_losses),
+        )
 
 
 SUMMARY_FIELDS = ("probe_acc", "probe_auc", "align", "unif", "final_loss")
@@ -612,7 +582,10 @@ def _run_cell(config: SynthConfig, variant: str, seed: int) -> CellRecord:
             breakdown=breakdown,
             epoch_losses=tuple(epoch_losses),
         )
-    except Exception as exc:  # cell isolation: the study keeps going
+    # A cell that fails on its data (divergence, a degenerate batch, a bad
+    # probe split) is recorded and the study keeps going; any other
+    # exception is a bug and escapes.
+    except (RuntimeError, ValueError) as exc:
         return CellRecord(variant=variant, seed=seed, error=f"{type(exc).__name__}: {exc}")
 
 
@@ -634,8 +607,8 @@ def run_study(
     order or set of other cells.  Workers default to the CONFCL_THREADS
     environment variable (1 if unset) and never exceed the number of
     cells.  Repeated variants, repeated seeds and negative seeds are
-    rejected; failed cells record their error and leave the rest of the
-    study running.
+    rejected; a cell that raises RuntimeError or ValueError records its
+    error and leaves the rest of the study running.
     """
     variants = tuple(variants) if variants is not None else tuple(STUDY_VARIANTS)
     seeds = tuple(seeds) if seeds is not None else DEFAULT_STUDY_SEEDS

@@ -13,6 +13,7 @@ atomically; stdout JSON is deterministic for fixed inputs.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -72,27 +73,14 @@ def _resolve_overrides(
     return overrides
 
 
-def _summaries_from_file(
-    path: str | None,
-    n_rows: int,
-    epsilon: float,
-    override_entries: list[str],
-    biopsy_source: str | None,
-    variant: str,
-) -> list[metadata.MetadataSummary]:
-    """Metadata rows map onto batch rows by first appearance order."""
-    if path is None:
-        return [metadata.MetadataSummary.unlabeled(f"row-{i}") for i in range(n_rows)]
-    vectors = cio.read_metadata_csv(path)
-    if len(vectors) > n_rows:
-        raise cio.FileFormatError(
-            f"{len(vectors)} exams but the batch has only {n_rows} rows", path
-        )
-    overrides = _resolve_overrides(vectors, override_entries, biopsy_source, variant)
-    summaries = metadata.summarize_batch(vectors, epsilon, overrides)
-    for i in range(len(vectors), n_rows):
-        summaries.append(metadata.MetadataSummary.unlabeled(f"row-{i}"))
-    return summaries
+def _read_summaries(args: argparse.Namespace) -> list[metadata.MetadataSummary]:
+    """The --metadata CSV's exams, in first-appearance order, summarized
+    under the --epsilon, --epsilon-override and --biopsy-source options."""
+    vectors = cio.read_metadata_csv(args.metadata)
+    overrides = _resolve_overrides(
+        vectors, args.epsilon_override, args.biopsy_source, args.variant
+    )
+    return metadata.summarize_batch(vectors, args.epsilon, overrides)
 
 
 # ---------------------------------------------------------------------------
@@ -101,11 +89,7 @@ def _summaries_from_file(
 
 
 def _cmd_kernel(args: argparse.Namespace) -> int:
-    vectors = cio.read_metadata_csv(args.metadata)
-    overrides = _resolve_overrides(
-        vectors, args.epsilon_override, args.biopsy_source, args.variant
-    )
-    summaries = metadata.summarize_batch(vectors, args.epsilon, overrides)
+    summaries = _read_summaries(args)
     spec = bench.variant_spec(args.variant)
     partition = losses.partition_batch(summaries, spec.kernel)
     kernel = metadata.kernel_matrix(list(partition.labeled_summaries), spec.kernel)
@@ -139,14 +123,17 @@ def _cmd_loss(args: argparse.Namespace) -> int:
         x2 = x2 / np.sqrt((x2 * x2).sum(axis=1, keepdims=True) + bench.EPS_NORM**2)
     batch = losses.ViewPairBatch(x1, x2)
     spec = bench.variant_spec(args.variant)
-    summaries = _summaries_from_file(
-        args.metadata,
-        batch.n,
-        args.epsilon,
-        args.epsilon_override,
-        args.biopsy_source,
-        args.variant,
-    )
+    # Metadata rows map onto batch rows by first appearance order; rows
+    # past the last annotated exam (all of them without --metadata) are
+    # unlabeled.
+    summaries = _read_summaries(args) if args.metadata is not None else []
+    if len(summaries) > batch.n:
+        raise cio.FileFormatError(
+            f"{len(summaries)} exams but the batch has only {batch.n} rows", args.metadata
+        )
+    summaries += [
+        metadata.MetadataSummary.unlabeled(f"row-{i}") for i in range(len(summaries), batch.n)
+    ]
     partition, kernel = bench.batch_loss_inputs(summaries, spec)
     breakdown = losses.loss_decoupled(batch, partition, kernel, spec.global_uniformity)
     payload = breakdown.as_dict()
@@ -236,28 +223,26 @@ def _cmd_eval_detect(args: argparse.Namespace) -> int:
             )
         )
     outcomes = [r.outcome for r in results]
-    metrics: dict[str, float | None] = {}
-    notes: dict[str, str] = {}
-    try:
-        metrics["exam_auc"] = detection.exam_auc(results)
-    except ValueError as exc:
-        metrics["exam_auc"] = None
-        notes["exam_auc"] = str(exc)
-    try:
-        metrics["lesion_auc"] = detection.lesion_auc(outcomes)
-    except ValueError as exc:
-        metrics["lesion_auc"] = None
-        notes["lesion_auc"] = str(exc)
-    try:
-        metrics["map"] = detection.average_precision(outcomes)
-    except ValueError as exc:
-        metrics["map"] = None
-        notes["map"] = str(exc)
     n_ref = sum(o.n_reference for o in outcomes)
     n_pool = sum(
         len(o.true_positives) + len(o.false_positives) + len(o.false_negatives)
         for o in outcomes
     )
+    # (name, metric, its input, n for the CSV); an undefined metric is None
+    # with the reason in notes.
+    table = (
+        ("exam_auc", detection.exam_auc, results, len(results)),
+        ("lesion_auc", detection.lesion_auc, outcomes, n_pool),
+        ("map", detection.average_precision, outcomes, n_ref),
+    )
+    metrics: dict[str, float | None] = {}
+    notes: dict[str, str] = {}
+    for name, metric, inputs, _ in table:
+        try:
+            metrics[name] = metric(inputs)
+        except ValueError as exc:
+            metrics[name] = None
+            notes[name] = str(exc)
     payload = {
         "settings": {
             "tau": args.tau,
@@ -268,44 +253,33 @@ def _cmd_eval_detect(args: argparse.Namespace) -> int:
             "fn_injected_as_zero_score_positives": True,
             "map_pooling": "dataset",
         },
-        "per_exam": [
-            {
-                "exam_id": r.exam_id,
-                "threshold": r.threshold,
-                "score": r.score,
-                "has_reference": r.has_reference,
-                "n_candidates": len(r.outcome.true_positives) + len(r.outcome.false_positives),
-                "true_positives": [
-                    {
-                        "candidate_id": tp.candidate_id,
-                        "reference_id": tp.reference_id,
-                        "overlap": tp.overlap,
-                        "probability": tp.probability,
-                    }
-                    for tp in r.outcome.true_positives
-                ],
-                "false_positives": [
-                    {"candidate_id": fp.candidate_id, "probability": fp.probability}
-                    for fp in r.outcome.false_positives
-                ],
-                "false_negatives": list(r.outcome.false_negatives),
-            }
-            for r in results
-        ],
+        "per_exam": [_exam_entry(r) for r in results],
         "metrics": metrics,
         "notes": notes,
     }
     _print_json(payload, args.out)
     if args.csv is not None:
-        cio.write_metrics_csv(
-            args.csv,
-            [
-                ("exam_auc", metrics["exam_auc"], len(results)),
-                ("lesion_auc", metrics["lesion_auc"], n_pool),
-                ("map", metrics["map"], n_ref),
-            ],
+        cio.write_csv_table(
+            args.csv, ("metric", "value", "n"), [(name, metrics[name], n) for name, _, _, n in table]
         )
     return 0
+
+
+def _exam_entry(r: detection.ExamResult) -> dict:
+    """The ExamResult's fields with its outcome's matches one level deep.
+
+    A shallow conversion on purpose: dataclasses.asdict deep-copies every
+    element, which costs about 100 times more on an exam with hundreds of
+    missed references.
+    """
+    tps, fps = r.outcome.true_positives, r.outcome.false_positives
+    return {
+        **{k: v for k, v in vars(r).items() if k != "outcome"},
+        "n_candidates": len(tps) + len(fps),
+        "true_positives": [dict(vars(tp)) for tp in tps],
+        "false_positives": [dict(vars(fp)) for fp in fps],
+        "false_negatives": list(r.outcome.false_negatives),
+    }
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
@@ -322,7 +296,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     else:
         config = bench.default_config()
     if args.seed is not None:
-        config = bench.config_from_dict({**config.as_dict(), "seed": args.seed})
+        config = dataclasses.replace(config, seed=args.seed)
     variants = args.variants.split(",") if args.variants else None
     seeds = [int(s) for s in args.seeds.split(",")] if args.seeds else None
     report = bench.run_study(config, variants, seeds, args.workers)
@@ -335,30 +309,25 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _write_cells_csv(path: str, report: bench.StudyReport) -> None:
-    with cio.atomic_write(path) as handle:
-        handle.write("variant,seed,probe_acc,probe_auc,align,unif,final_loss\n")
-        for r in report.records:
-            cells = [r.variant, str(r.seed)] + [
-                "" if getattr(r, f) is None else cio.fmt_float(getattr(r, f))
-                for f in bench.SUMMARY_FIELDS
-            ]
-            handle.write(",".join(cells) + "\n")
+    fields = bench.SUMMARY_FIELDS
+    cio.write_csv_table(
+        path,
+        ("variant", "seed", *fields),
+        [(r.variant, r.seed, *(getattr(r, f) for f in fields)) for r in report.records],
+    )
 
 
 def _write_summary_csv(path: str, report: bench.StudyReport) -> None:
+    fields, moments = bench.SUMMARY_FIELDS, ("mean", "std")
     aggregates = report.aggregates()
-    cols = [f"{f}_{s}" for f in bench.SUMMARY_FIELDS for s in ("mean", "std")]
-    with cio.atomic_write(path) as handle:
-        handle.write("variant," + ",".join(cols) + ",n\n")
-        for variant in report.variants:
-            stats = aggregates[variant]
-            row = [variant]
-            for f in bench.SUMMARY_FIELDS:
-                for s in ("mean", "std"):
-                    val = stats[f][s]
-                    row.append("" if val is None else cio.fmt_float(val))
-            row.append(str(stats[bench.SUMMARY_FIELDS[0]]["n"]))
-            handle.write(",".join(row) + "\n")
+    cio.write_csv_table(
+        path,
+        ("variant", *(f"{f}_{m}" for f in fields for m in moments), "n"),
+        [
+            (v, *(aggregates[v][f][m] for f in fields for m in moments), aggregates[v][fields[0]]["n"])
+            for v in report.variants
+        ],
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ import json
 import os
 import struct
 import tempfile
+from collections.abc import Iterable, Sequence
 from contextlib import contextmanager
 
 import numpy as np
@@ -38,7 +39,7 @@ __all__ = [
     "write_mask",
     "read_mask",
     "write_json_atomic",
-    "write_metrics_csv",
+    "write_csv_table",
 ]
 
 EMB_MAGIC = b"EMB1"
@@ -312,10 +313,13 @@ def write_json_atomic(path: str, payload: dict) -> None:
         handle.write("\n")
 
 
-def write_metrics_csv(path: str, rows: list[tuple[str, float | None, int]]) -> None:
-    """metric,value,n rows; an undefined metric serializes as an empty cell."""
+def write_csv_table(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """A header line plus one line per row; floats go through fmt_float and
+    None serializes as an empty cell."""
     with atomic_write(path) as handle:
         writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["metric", "value", "n"])
-        for metric, value, n in rows:
-            writer.writerow([metric, "" if value is None else fmt_float(value), n])
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow(
+                ["" if v is None else fmt_float(v) if isinstance(v, float) else v for v in row]
+            )

@@ -267,7 +267,9 @@ def _evaluate(
         m = len(g.rows)
         sizes[align_name] = m
         d_g = d[np.ix_(g.rows, g.rows)]
-        terms[align_name] = float((g.align * d_g).sum() / m)
+        # A zero weight adds exactly 0, even where d overflowed to inf.
+        aligned = np.multiply(g.align, d_g, out=np.zeros_like(d_g), where=g.align != 0)
+        terms[align_name] = float(aligned.sum() / m)
         repel = g.repel * np.exp(-d_g)
         s = float(repel.sum())
         if s != 0.0:

@@ -423,6 +423,7 @@ def test_train_default_spec_comes_from_config():
     assert losses_a == losses_b
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_train_diverges_on_enormous_learning_rate():
     cfg = SynthConfig(
         n_exams=32,
@@ -687,6 +688,17 @@ def test_run_study_isolates_cell_failures(monkeypatch):
     assert agg["majority"]["probe_auc"]["mean"] is None
     assert agg["proposed"]["probe_auc"]["n"] == 1
     json.dumps(report.as_dict())  # errored cells must stay serializable
+
+
+def test_run_study_lets_programming_errors_escape(monkeypatch):
+    import confcl.bench as bench
+
+    def sabotaged(config, exams, rng, spec=None):
+        raise TypeError("not a cell failure")
+
+    monkeypatch.setattr(bench, "train", sabotaged)
+    with pytest.raises(TypeError, match="not a cell failure"):
+        bench.run_study(_small_config(), variants=["proposed"], seeds=[0], workers=1)
 
 
 def test_run_study_validates_inputs():

@@ -104,6 +104,19 @@ def test_kernel_rerun_is_byte_identical(capsys, tmp_path, metadata_csv):
     assert out.read_bytes() == first
 
 
+def test_kernel_all_unlabeled_writes_empty_matrix(capsys, tmp_path):
+    # PI-RADS 3 is equivocal, so neither exam keeps a vote.
+    meta = _write_metadata(tmp_path / "meta.csv", [("a", "pirads", 3), ("b", "pirads", 3)])
+    out = tmp_path / "kernel.csv"
+    code, stdout, _ = _run(capsys, ["kernel", "--metadata", meta, "--out", str(out)])
+    assert code == 0
+    payload = json.loads(stdout)
+    assert payload["shape"] == [0, 0]
+    assert payload["labeled"] == []
+    assert payload["unlabeled"] == ["a", "b"]
+    assert out.read_bytes() == b""
+
+
 def test_kernel_malformed_metadata_exits_1(capsys, tmp_path):
     bad = _write_metadata(
         tmp_path / "bad.csv", [("a", "pirads", 5), ("b", "mri", 2)]

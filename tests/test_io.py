@@ -25,12 +25,12 @@ from confcl.io import (
     read_metadata_csv,
     read_metadata_rows,
     read_volume,
+    write_csv_table,
     write_embeddings,
     write_json_atomic,
     write_mask,
     write_matrix_csv,
     write_metadata_rows,
-    write_metrics_csv,
     write_volume,
 )
 from confcl.metadata import RawAnnotation, Source
@@ -307,7 +307,7 @@ def test_json_report_bytes_are_order_independent(tmp_path):
 
 def test_metrics_csv_serializes_missing_values_as_empty(tmp_path):
     path = str(tmp_path / "m.csv")
-    write_metrics_csv(path, [("auc", 0.75, 10), ("map", None, 0)])
+    write_csv_table(path, ("metric", "value", "n"), [("auc", 0.75, 10), ("map", None, 0)])
     lines = open(path).read().splitlines()
     assert lines[0] == "metric,value,n"
     assert lines[1] == "auc,0.75,10"

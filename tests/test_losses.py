@@ -380,6 +380,21 @@ def test_decoupled_single_zero_row_total_near_zero():
 # ---------------------------------------------------------------------------
 
 
+def test_zero_alignment_weight_ignores_an_overflowed_distance():
+    # Row 2 sits so far out that its distances to rows 0 and 1 overflow
+    # to inf; those pairs carry zero alignment weight and must add 0.
+    x = np.array([[0.0, 0.0], [1.0, 0.0], [1e200, 0.0]])
+    batch = ViewPairBatch(x, x.copy())
+    with np.errstate(over="ignore"):
+        d = pairwise_distances(batch)
+        assert np.isinf(d[2, 0]) and np.isinf(d[0, 2])
+        nce = loss_nce(batch)
+        unlabeled = loss_decoupled(batch, BatchPartition((), (0, 1, 2)))
+    assert nce.term(ALIGN_UNLABELED) == np.trace(d) / 3
+    assert unlabeled.term(ALIGN_UNLABELED) == np.trace(d) / 3
+    assert np.isfinite(nce.total) and np.isfinite(unlabeled.total)
+
+
 def test_reduction_all_unlabeled_equals_global_loss_with_self_pairs_removed():
     rng = np.random.default_rng(11)
     for _ in range(20):
