@@ -23,7 +23,7 @@ from .losses import (
     BatchPartition,
     LossBreakdown,
     ViewPairBatch,
-    loss_decoupled,
+    _distance_loss,
     loss_gradient,
     pairwise_distances,
     partition_batch,
@@ -549,7 +549,8 @@ def _evaluate_cell(
     off = ~np.eye(batch.n, dtype=bool)
     unif = float(np.log(np.exp(-d[off]).mean())) if batch.n >= 2 else 0.0
     partition, kernel = batch_loss_inputs(_summaries_for(exams, config, spec), spec)
-    breakdown = loss_decoupled(batch, partition, kernel, spec.global_uniformity)
+    # The decoupled loss reads the same distance matrix as the diagnostics.
+    breakdown = _distance_loss("decoupled", d, partition, kernel, spec.global_uniformity)
     return align, unif, breakdown
 
 
@@ -589,6 +590,13 @@ def _run_cell(config: SynthConfig, variant: str, seed: int) -> CellRecord:
         return CellRecord(variant=variant, seed=seed, error=f"{type(exc).__name__}: {exc}")
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on, where the platform can say so."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _cell_args(config, variants, seeds):
     return [(config, variant, seed) for variant in variants for seed in seeds]
 
@@ -606,9 +614,9 @@ def run_study(
     value), so a cell's record is the same for any worker count, variant
     order or set of other cells.  Workers default to the CONFCL_THREADS
     environment variable (1 if unset) and never exceed the number of
-    cells.  Repeated variants, repeated seeds and negative seeds are
-    rejected; a cell that raises RuntimeError or ValueError records its
-    error and leaves the rest of the study running.
+    cells or of usable CPUs.  Repeated variants, repeated seeds and
+    negative seeds are rejected; a cell that raises RuntimeError or
+    ValueError records its error and leaves the rest of the study running.
     """
     variants = tuple(variants) if variants is not None else tuple(STUDY_VARIANTS)
     seeds = tuple(seeds) if seeds is not None else DEFAULT_STUDY_SEEDS
@@ -629,7 +637,7 @@ def run_study(
     if workers < 1:
         raise ValueError("workers must be >= 1")
     args = _cell_args(config, variants, seeds)
-    workers = min(workers, len(args))
+    workers = min(workers, len(args), _usable_cpus())
     if workers <= 1:
         records = [_run_cell(*a) for a in args]
     else:

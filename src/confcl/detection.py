@@ -243,12 +243,20 @@ def dynamic_threshold(
     t_min; the mask at the final t is returned together with that t.  An
     all-background volume therefore ends at exactly t_min.
     """
+    return _dynamic_search(volume, params, connectivity)[:2]
+
+
+def _dynamic_search(
+    volume: ProbVolume, params: DynamicThresholdParams, connectivity: int
+) -> tuple[BinaryMask, float, _Labels]:
+    """dynamic_threshold plus the labeling of its final mask."""
     k, t = 0, params.t_start
     while True:
         mask = threshold_volume(volume, t)
-        sizes = np.bincount(_label(mask.data, connectivity).label)
+        labels = _label(mask.data, connectivity)
+        sizes = np.bincount(labels.label)
         if (sizes >= params.min_voxels).sum() >= params.max_candidates or t <= params.t_min:
-            return mask, t
+            return mask, t, labels
         k += 1
         t = max(params.t_start - k * params.step, params.t_min)
 
@@ -354,10 +362,11 @@ def evaluate_exam(
     if (threshold is None) == (dynamic is None):
         raise ValueError("give exactly one of threshold= or dynamic=")
     if threshold is not None:
-        mask, t = threshold_volume(volume, threshold), threshold
+        t = threshold
+        cand = _label(threshold_volume(volume, t).data, connectivity)
     else:
-        mask, t = dynamic_threshold(volume, dynamic, connectivity)
-    cand, ref = _label(mask.data, connectivity), _label(reference.data, connectivity)
+        _, t, cand = _dynamic_search(volume, dynamic, connectivity)
+    ref = _label(reference.data, connectivity)
     peaks = _peaks(volume, cand)
     outcome = _match(cand, peaks, range(cand.n), ref, range(ref.n), tau)
     return ExamResult(exam_id, outcome, max(peaks, default=0.0), ref.n > 0, t)

@@ -4,7 +4,7 @@ Binary formats carry a 4-byte magic plus little-endian dimension header;
 text formats are UTF-8 with LF newlines and comma separators.  Numeric
 CSV cells use 17 significant digits so 64-bit values round-trip exactly.
 All writers go through a temp-file-plus-rename so readers never observe
-a partial file.
+a partial file, and the renamed file gets the mode the umask allows.
 """
 
 from __future__ import annotations
@@ -60,6 +60,13 @@ class FileFormatError(ValueError):
         self.reason = message
 
 
+def _umask() -> int:
+    """The process umask; reading it means setting it, so set it straight back."""
+    mask = os.umask(0)
+    os.umask(mask)
+    return mask
+
+
 @contextmanager
 def atomic_write(path: str, binary: bool = False):
     """Write to a same-directory temp file, then rename over the target."""
@@ -69,6 +76,8 @@ def atomic_write(path: str, binary: bool = False):
         mode = "wb" if binary else "w"
         with os.fdopen(fd, mode, **({} if binary else {"newline": "\n"})) as handle:
             yield handle
+        # mkstemp creates the file 0600; give it the mode open() would.
+        os.chmod(tmp, 0o666 & ~_umask())
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -163,10 +172,20 @@ def read_metadata_csv(path: str) -> list[AnnotationVector]:
 
 
 def write_matrix_csv(path: str, matrix: np.ndarray) -> None:
-    m = np.asarray(matrix, dtype=np.float64)
+    """One line per row (a 1-D vector is one row), cells through fmt_float.
+
+    Each row formats its distinct values once and joins its cells by index
+    into them; kernel rows hold only a handful of distinct weights.  Values
+    are keyed on their bit pattern, so 0.0 and -0.0 keep their own text.
+    """
+    m = np.atleast_2d(np.asarray(matrix, dtype=np.float64))
+    if m.ndim != 2:
+        raise ValueError(f"matrix must be 1D or 2D, got shape {m.shape}")
     with atomic_write(path) as handle:
-        for row in np.atleast_2d(m):
-            handle.write(",".join(fmt_float(v) for v in row) + "\n")
+        for row in m:
+            bits, index = np.unique(row.view(np.uint64), return_inverse=True)
+            cells = [fmt_float(v) for v in bits.view(np.float64)]
+            handle.write(",".join([cells[i] for i in index.tolist()]) + "\n")
 
 
 def read_matrix_csv(path: str) -> np.ndarray:

@@ -65,6 +65,9 @@ __all__ = [
 # Smoothing floor inside the pairwise norm; keeps gradients finite at d = 0.
 EPS_DIST = 1e-8
 
+# Rows of the distance matrix filled per step; bounds its (rows, N, D) temporary.
+_DISTANCE_BLOCK = 32
+
 ALIGN_LABELED = "align_labeled"
 UNIF_LABELED = "unif_labeled"
 ALIGN_UNLABELED = "align_unlabeled"
@@ -178,11 +181,16 @@ class GradientBatch:
 def pairwise_distances(batch: ViewPairBatch) -> np.ndarray:
     """Smoothed L2 distance matrix d[i, j] = |x1_i - x2_j| of shape (N, N).
 
-    Its (N, N, D) difference array is the memory peak of a loss call, so
-    the loss functions build it before any N x N group weights.
+    Filled _DISTANCE_BLOCK rows at a time, so the largest temporary is a
+    (_DISTANCE_BLOCK, N, D) difference block rather than (N, N, D).
     """
-    diff = batch.x1[:, None, :] - batch.x2[None, :, :]
-    return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff) + EPS_DIST**2)
+    d = np.empty((batch.n, batch.n))
+    for start in range(0, batch.n, _DISTANCE_BLOCK):
+        rows = slice(start, start + _DISTANCE_BLOCK)
+        diff = batch.x1[rows, None, :] - batch.x2[None, :, :]
+        np.einsum("ijk,ijk->ij", diff, diff, out=d[rows])
+    d += EPS_DIST**2
+    return np.sqrt(d, out=d)
 
 
 # ---------------------------------------------------------------------------
@@ -309,8 +317,18 @@ def evaluate_loss(
     global_uniformity: bool = False,
 ) -> LossBreakdown:
     """Loss breakdown of the named variant; see LOSS_KINDS."""
-    d = pairwise_distances(batch)
-    return _evaluate(d, _groups(kind, batch.n, partition, kernel, global_uniformity))[0]
+    return _distance_loss(kind, pairwise_distances(batch), partition, kernel, global_uniformity)
+
+
+def _distance_loss(
+    kind: str,
+    d: np.ndarray,
+    partition: BatchPartition | None,
+    kernel: KernelMatrix | None,
+    global_uniformity: bool,
+) -> LossBreakdown:
+    """evaluate_loss over a distance matrix the caller already built."""
+    return _evaluate(d, _groups(kind, len(d), partition, kernel, global_uniformity))[0]
 
 
 def loss_nce(batch: ViewPairBatch) -> LossBreakdown:

@@ -721,7 +721,8 @@ def test_run_study_names_a_non_integer_worker_env(monkeypatch):
         run_study(_small_config(), variants=["proposed"], seeds=[0])
 
 
-def test_run_study_clamps_workers_to_cells(monkeypatch):
+def _serial_pool(monkeypatch, usable_cpus):
+    """Stand in a serial pool that records its size, and fix the CPU count."""
     import confcl.bench as bench
 
     asked = []
@@ -739,11 +740,40 @@ def test_run_study_clamps_workers_to_cells(monkeypatch):
         map = staticmethod(map)
 
     monkeypatch.setattr(bench, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(bench, "_usable_cpus", lambda: usable_cpus)
+    return asked
+
+
+def test_run_study_clamps_workers_to_cells(monkeypatch):
+    asked = _serial_pool(monkeypatch, usable_cpus=8)
     cfg = _small_config()
     clamped = run_study(cfg, variants=["proposed", "hc"], seeds=[0], workers=64)
     assert asked == [2]
     serial = run_study(cfg, variants=["proposed", "hc"], seeds=[0], workers=1)
     assert _study_json(clamped) == _study_json(serial)
+
+
+def test_run_study_clamps_workers_to_usable_cpus(monkeypatch):
+    asked = _serial_pool(monkeypatch, usable_cpus=3)
+    cfg = _small_config()
+    clamped = run_study(cfg, variants=["proposed", "hc"], seeds=[0, 1], workers=64)
+    assert asked == [3]
+    asked = _serial_pool(monkeypatch, usable_cpus=1)
+    serial = run_study(cfg, variants=["proposed", "hc"], seeds=[0, 1], workers=64)
+    assert asked == []  # one usable CPU runs the cells in process, with no pool
+    assert _study_json(clamped) == _study_json(serial)
+
+
+def test_usable_cpus_follows_affinity_then_cpu_count(monkeypatch):
+    import confcl.bench as bench
+
+    monkeypatch.setattr(bench.os, "sched_getaffinity", lambda pid: {0, 5}, raising=False)
+    monkeypatch.setattr(bench.os, "cpu_count", lambda: 64)
+    assert bench._usable_cpus() == 2
+    monkeypatch.delattr(bench.os, "sched_getaffinity", raising=False)
+    assert bench._usable_cpus() == 64
+    monkeypatch.setattr(bench.os, "cpu_count", lambda: None)
+    assert bench._usable_cpus() == 1
 
 
 def test_aggregates_mean_std_over_clean_cells():

@@ -1,6 +1,7 @@
 """Command line tests; every command runs in process through main()."""
 
 import json
+import os
 import struct
 from fractions import Fraction
 
@@ -102,6 +103,22 @@ def test_kernel_rerun_is_byte_identical(capsys, tmp_path, metadata_csv):
     first = out.read_bytes()
     assert _run(capsys, ["kernel", "--metadata", metadata_csv, "--out", str(out)])[0] == 0
     assert out.read_bytes() == first
+
+
+KERNEL_GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "kernel")
+
+
+@pytest.mark.parametrize("variant", ["proposed", "hc", "majority", "biopsy"])
+def test_kernel_csv_matches_golden_bytes(capsys, tmp_path, variant):
+    # Twelve exams with one to seven PI-RADS and ISUP votes: confidences
+    # 1/5, 1/3, 3/7, 3/5 and 1, single votes at epsilon, and a tie and an
+    # abstention left unlabeled.
+    meta = os.path.join(KERNEL_GOLDEN, "annotations.csv")
+    out = tmp_path / "kernel.csv"
+    argv = ["kernel", "--metadata", meta, "--variant", variant, "--out", str(out)]
+    assert _run(capsys, argv)[0] == 0
+    with open(os.path.join(KERNEL_GOLDEN, f"{variant}.csv"), "rb") as handle:
+        assert out.read_bytes() == handle.read()
 
 
 def test_kernel_all_unlabeled_writes_empty_matrix(capsys, tmp_path):

@@ -33,7 +33,14 @@ from confcl.io import (
     write_metadata_rows,
     write_volume,
 )
-from confcl.metadata import RawAnnotation, Source
+from confcl.metadata import (
+    KernelVariant,
+    MetadataSummary,
+    RawAnnotation,
+    Source,
+    confidence,
+    kernel_matrix,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -131,6 +138,60 @@ def test_matrix_csv_rejects_garbage(tmp_path):
     path.write_text("")
     with pytest.raises(FileFormatError, match="empty"):
         read_matrix_csv(str(path))
+
+
+def _per_element_csv(matrix) -> bytes:
+    """The matrix CSV as formatted one cell at a time, the reference layout."""
+    rows = np.atleast_2d(np.asarray(matrix, dtype=np.float64))
+    return "".join(",".join(fmt_float(v) for v in row) + "\n" for row in rows).encode()
+
+
+def _kernel_300(variant: KernelVariant) -> np.ndarray:
+    """A 300-exam kernel over every confidence from 1 to 9 votes."""
+    rng = np.random.default_rng(7)
+    summaries = []
+    for i in range(300):
+        n = int(rng.integers(1, 10))
+        votes = rng.integers(0, 2, n)
+        ones = int(votes.sum())
+        if 2 * ones == n:
+            votes[0] ^= 1
+            ones = int(votes.sum())
+        conf = confidence(votes.tolist())
+        summaries.append(MetadataSummary.labeled(f"e{i}", int(2 * ones > n), conf))
+    return kernel_matrix(summaries, variant).weights
+
+
+_NEG_NAN = np.array([0xFFF8000000000000], dtype=np.uint64).view(np.float64)[0]
+_PAYLOAD_NAN = np.array([0x7FF8000000000001], dtype=np.uint64).view(np.float64)[0]
+
+_MATRIX_CASES = {
+    "signed zeros": np.array([[0.0, -0.0, 1.0, -0.0, 0.0], [-0.0, -0.0, 0.0, 0.0, -0.0]]),
+    "nans": np.array([[np.nan, _NEG_NAN, 1.0, _PAYLOAD_NAN, -np.nan, np.nan]]),
+    "infinities": np.array([[np.inf, -np.inf, 0.0], [-np.inf, np.inf, np.inf]]),
+    "subnormal": np.array([[5e-324, -5e-324, 0.0, 1e-310, 5e-324]]),
+    "vector": np.array([0.1, 0.2, 0.1, 1.0 / 3.0]),
+    "empty": np.zeros((0, 0)),
+    "no columns": np.zeros((3, 0)),
+    "one column": np.array([[0.5], [0.5], [-0.0], [2.0 / 3.0]]),
+    "transposed": (np.arange(12.0).reshape(3, 4) / 7.0).T,
+    "big endian": (np.arange(6.0).reshape(2, 3) / 3.0).astype(">f8"),
+    "all distinct": np.random.default_rng(44).normal(0, 1e3, (40, 30)),
+    **{f"kernel {v.value}": _kernel_300(v) for v in KernelVariant},
+}
+
+
+@pytest.mark.parametrize("name", list(_MATRIX_CASES))
+def test_matrix_csv_bytes_match_per_element_formatting(tmp_path, name):
+    matrix = _MATRIX_CASES[name]
+    path = tmp_path / "m.csv"
+    write_matrix_csv(str(path), matrix)
+    assert path.read_bytes() == _per_element_csv(matrix)
+
+
+def test_matrix_csv_rejects_more_than_two_dimensions(tmp_path):
+    with pytest.raises(ValueError, match="1D or 2D"):
+        write_matrix_csv(str(tmp_path / "m.csv"), np.zeros((2, 2, 2)))
 
 
 def test_fmt_float_survives_a_parse_round_trip():
@@ -294,6 +355,18 @@ def test_atomic_write_replaces_the_target(tmp_path):
         handle.write("new")
     assert target.read_text() == "new"
     assert os.listdir(tmp_path) == ["out.txt"]
+
+
+@pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o077, 0o600)])
+def test_atomic_write_output_follows_the_umask(tmp_path, umask, mode):
+    target = tmp_path / "out.txt"
+    previous = os.umask(umask)
+    try:
+        with atomic_write(str(target)) as handle:
+            handle.write("new")
+    finally:
+        os.umask(previous)
+    assert target.stat().st_mode & 0o777 == mode
 
 
 def test_json_report_bytes_are_order_independent(tmp_path):
