@@ -23,15 +23,15 @@ from .losses import (
     BatchPartition,
     LossBreakdown,
     ViewPairBatch,
+    _decoupled_groups,
     _distance_loss,
-    loss_gradient,
+    _gradient,
     pairwise_distances,
     partition_batch,
 )
 from .metadata import (
     DEFAULT_EPSILON,
     AnnotationVector,
-    KernelMatrix,
     KernelVariant,
     Source,
     kernel_matrix,
@@ -380,8 +380,7 @@ def train(
         rng,
     )
     features = np.stack([e.features for e in exams]) if exams else np.zeros((0, config.input_dim))
-    # Each batch's partition and kernel are slices of the whole dataset's:
-    # block_row is an exam's row in the labeled block, -1 if unlabeled.
+    # Validated once per cell; block_row is an exam's row in all_kernel, or -1.
     all_partition, all_kernel = batch_loss_inputs(_summaries_for(exams, config, spec), spec)
     n = len(exams)
     block_row = np.full(n, -1)
@@ -400,15 +399,12 @@ def train(
             e2, cache2 = encoder.forward(v2)
             rows = block_row[idx]
             labeled = rows >= 0
-            partition = BatchPartition(
-                tuple(np.flatnonzero(labeled).tolist()), tuple(np.flatnonzero(~labeled).tolist())
+            block = rows[labeled]
+            w = all_kernel.weights[block[:, None], block] if len(block) else None
+            groups = _decoupled_groups(
+                np.flatnonzero(labeled), np.flatnonzero(~labeled), w, spec.global_uniformity
             )
-            kernel = None
-            if labeled.any():
-                kernel = KernelMatrix(all_kernel.weights[np.ix_(rows[labeled], rows[labeled])])
-            grads = loss_gradient(
-                "decoupled", ViewPairBatch(e1, e2), partition, kernel, spec.global_uniformity
-            )
+            grads = _gradient(ViewPairBatch(e1, e2), groups)
             breakdown = grads.breakdown
             if not (
                 np.isfinite(breakdown.total)
@@ -456,11 +452,12 @@ def linear_probe(
         raise ValueError("probe split left a single class after one redraw")
     w = np.zeros(x.shape[1])
     b = 0.0
+    x_tr, y_tr = x[tr], y[tr]
     for _ in range(500):
-        logits = x[tr] @ w + b
+        logits = x_tr @ w + b
         p = expit(logits)
-        err = p - y[tr]
-        w -= 0.5 * (x[tr].T @ err) / len(tr)
+        err = p - y_tr
+        w -= 0.5 * (x_tr.T @ err) / len(tr)
         b -= 0.5 * float(err.mean())
     test_logits = x[te] @ w + b
     acc = float(((test_logits > 0.0).astype(int) == y[te]).mean())

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import io as _io
 import json
+import math
 import os
 import struct
 import tempfile
@@ -196,14 +197,16 @@ def read_matrix_csv(path: str) -> np.ndarray:
             if not line:
                 continue
             try:
-                rows.append([float(cell) for cell in line.split(",")])
+                row = [float(cell) for cell in line.split(",")]
             except ValueError:
                 raise FileFormatError("non-numeric cell", path, lineno) from None
+            if not all(map(math.isfinite, row)):
+                raise FileFormatError("non-finite cell", path, lineno)
+            if rows and len(row) != len(rows[0]):
+                raise FileFormatError(f"ragged rows: {len(row)} cells, not {len(rows[0])}", path, lineno)
+            rows.append(row)
     if not rows:
         raise FileFormatError("empty matrix", path)
-    width = len(rows[0])
-    if any(len(r) != width for r in rows):
-        raise FileFormatError("ragged rows", path)
     return np.asarray(rows, dtype=np.float64)
 
 

@@ -27,6 +27,11 @@ LossBreakdown and, when a gradient is wanted, into the per-pair
 coefficients C_ij = d(total)/d(d_ij); ``loss_gradient`` returns both from
 a single distance build.  The analytic gradients are checked against
 central finite differences.
+
+The public functions validate their arguments (partition cover, kernel
+shape) before building groups; the private ``_decoupled_groups`` and
+``_gradient`` trust theirs, so training validates a dataset's partition
+and kernel once per cell and feeds each step's slices straight in.
 """
 
 from __future__ import annotations
@@ -241,19 +246,25 @@ def _groups(
         raise ValueError("decoupled loss needs a partition")
     if partition.n != n or set(partition.labeled) | set(partition.unlabeled) != set(range(n)):
         raise ValueError("partition must cover every batch row exactly once")
+    labeled = np.asarray(partition.labeled, dtype=np.intp)
+    w = _kernel_weights(kernel, len(labeled), "decoupled loss") if len(labeled) else None
+    if w is None and kernel is not None and kernel.n != 0:
+        raise ValueError("kernel given but the labeled group is empty")
+    return _decoupled_groups(labeled, np.asarray(partition.unlabeled, np.intp), w, global_uniformity)
+
+
+def _decoupled_groups(
+    labeled: np.ndarray, unlabeled: np.ndarray, w: np.ndarray | None, global_uniformity: bool
+) -> list[_Group]:
+    """Decoupled groups from trusted disjoint, covering rows and labeled weights."""
     groups = []
-    if partition.labeled:
-        w = _kernel_weights(kernel, len(partition.labeled), "decoupled loss")
+    if len(labeled):
         # Global uniformity repels every distinct labeled pair at weight 1.
         repel = 1.0 - (np.eye(len(w)) if global_uniformity else w)
-        rows = np.asarray(partition.labeled, dtype=np.intp)
-        groups.append(_Group(rows, w, repel, (ALIGN_LABELED, UNIF_LABELED), True))
-    elif kernel is not None and kernel.n != 0:
-        raise ValueError("kernel given but the labeled group is empty")
-    if partition.unlabeled:
-        eye = np.eye(len(partition.unlabeled))
-        rows = np.asarray(partition.unlabeled, dtype=np.intp)
-        groups.append(_Group(rows, eye, 1.0 - eye, (ALIGN_UNLABELED, UNIF_UNLABELED), True))
+        groups.append(_Group(labeled, w, repel, (ALIGN_LABELED, UNIF_LABELED), True))
+    if len(unlabeled):
+        eye = np.eye(len(unlabeled))
+        groups.append(_Group(unlabeled, eye, 1.0 - eye, (ALIGN_UNLABELED, UNIF_UNLABELED), True))
     return groups
 
 
@@ -274,9 +285,9 @@ def _evaluate(
         align_name, unif_name = g.terms
         m = len(g.rows)
         sizes[align_name] = m
-        d_g = d[np.ix_(g.rows, g.rows)]
+        d_g = d[g.rows[:, None], g.rows]
         # A zero weight adds exactly 0, even where d overflowed to inf.
-        aligned = np.multiply(g.align, d_g, out=np.zeros_like(d_g), where=g.align != 0)
+        aligned = np.multiply(g.align, d_g, out=np.zeros(d_g.shape), where=g.align != 0)
         terms[align_name] = float(aligned.sum() / m)
         repel = g.repel * np.exp(-d_g)
         s = float(repel.sum())
@@ -426,7 +437,7 @@ def _decoupled_coefficients(
     out: dict[str, np.ndarray] = {}
     for rows, term, block in _evaluate(d, groups, coefficients=True)[1]:
         c = np.zeros(d.shape)
-        c[np.ix_(rows, rows)] = block
+        c[rows[:, None], rows] = block
         out[term] = c
     return out
 
@@ -456,12 +467,16 @@ def loss_gradient(
     to what ``evaluate_loss`` gives for the same arguments, so one call
     (and one distance matrix) serves a whole training step.
     """
+    return _gradient(batch, _groups(kind, batch.n, partition, kernel, global_uniformity))
+
+
+def _gradient(batch: ViewPairBatch, groups: list[_Group]) -> GradientBatch:
+    """loss_gradient over groups the caller has already validated."""
     d = pairwise_distances(batch)
-    groups = _groups(kind, batch.n, partition, kernel, global_uniformity)
     breakdown, blocks = _evaluate(d, groups, coefficients=True)
     c = np.zeros((batch.n, batch.n))
     for rows, _, block in blocks:
-        c[np.ix_(rows, rows)] += block
+        c[rows[:, None], rows] += block
     return _gradient_from_coefficients(batch, d, c, breakdown)
 
 

@@ -2,12 +2,17 @@
 
 Each test prints a ``[PASS] criterion N`` line (run pytest with ``-s`` to
 see them stream); a failing criterion prints ``[FAIL]`` and then fails the
-test normally.  Criteria 8 and 9 share one full study run.
+test normally.  Criteria 8 and 9 and the study golden share one full
+study run.
 """
 
+import csv
+import hashlib
 import itertools
 import json
 import math
+import os
+import platform
 import time
 from contextlib import contextmanager
 from fractions import Fraction
@@ -15,8 +20,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from confcl.bench import default_config, run_study
-from confcl.cli import _write_summary_csv
+from confcl import io as cio
+from confcl.bench import SUMMARY_FIELDS, default_config, run_study
+from confcl.cli import _write_cells_csv, _write_summary_csv
 from confcl.detection import (
     BinaryMask,
     Component,
@@ -523,3 +529,93 @@ def test_criterion_9_ablation_structure(committed_study, tmp_path):
         assert header[0] == "variant"
         assert "probe_auc_mean" in header and "probe_auc_std" in header
         assert [line.split(",")[0] for line in lines[1:]] == list(serial.variants)
+
+
+# ---------------------------------------------------------------------------
+# The default study's golden outputs (same shared run)
+#
+# golden/study/ holds the SHA-256 of the default report JSON, the full
+# cells and summary CSVs, and the numeric provenance they came from.
+# Where this machine's provenance matches, all three outputs must be
+# byte-identical; everywhere, every per-cell summary field must agree to
+# STUDY_REL.  Regenerate only for an intended change of the study's
+# numbers, with ``PYTHONPATH=src python tests/test_acceptance.py``, which
+# runs the default study on 2 workers through the CLI's writers.
+
+STUDY_GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "study")
+STUDY_REL = 1e-9
+
+
+def _numeric_provenance() -> dict:
+    """What the study's last bits depend on: numpy, its BLAS and SIMD dispatch."""
+    try:
+        info = np.show_config(mode="dicts")
+        blas, simd = info["Build Dependencies"]["blas"], info["SIMD Extensions"]["found"]
+    except (TypeError, KeyError):  # numpy < 1.26 can only print its configuration
+        return {"numpy": np.__version__}
+    return {
+        "numpy": np.__version__,
+        "blas": f"{blas.get('name')} {blas.get('version')}",
+        "blas_config": blas.get("openblas configuration"),
+        "simd": simd,
+        "machine": platform.machine(),
+    }
+
+
+STUDY_OUTPUTS = ("report.json", "cells.csv", "summary.csv")
+
+
+def _study_outputs(report, directory) -> dict[str, bytes]:
+    paths = {name: os.path.join(directory, name) for name in STUDY_OUTPUTS}
+    cio.write_json_atomic(paths["report.json"], report.as_dict())
+    _write_cells_csv(paths["cells.csv"], report)
+    _write_summary_csv(paths["summary.csv"], report)
+    out = {}
+    for name, path in paths.items():
+        with open(path, "rb") as handle:
+            out[name] = handle.read()
+    return out
+
+
+def _cells(data: bytes) -> dict[tuple[str, str], dict[str, str]]:
+    rows = csv.DictReader(data.decode("utf-8").splitlines())
+    return {(row["variant"], row["seed"]): row for row in rows}
+
+
+def test_default_study_matches_golden(committed_study, tmp_path):
+    serial, _, _ = committed_study
+    got = _study_outputs(serial, str(tmp_path))
+    with open(os.path.join(STUDY_GOLDEN, "provenance.json"), encoding="utf-8") as handle:
+        golden = json.load(handle)
+    with open(os.path.join(STUDY_GOLDEN, "cells.csv"), "rb") as handle:
+        golden_cells = handle.read()
+
+    want = _cells(golden_cells)
+    have = _cells(got["cells.csv"])
+    assert have.keys() == want.keys()
+    for key, row in want.items():
+        for field in SUMMARY_FIELDS:
+            pair = float(have[key][field]), float(row[field])
+            assert math.isclose(*pair, rel_tol=STUDY_REL), (key, field, pair)
+
+    if golden["provenance"] == _numeric_provenance():
+        with open(os.path.join(STUDY_GOLDEN, "summary.csv"), "rb") as handle:
+            assert got["summary.csv"] == handle.read()
+        assert got["cells.csv"] == golden_cells
+        assert hashlib.sha256(got["report.json"]).hexdigest() == golden["report_sha256"]
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        outs = _study_outputs(run_study(default_config(), workers=2), tmp)
+    os.makedirs(STUDY_GOLDEN, exist_ok=True)
+    for name in ("cells.csv", "summary.csv"):
+        with open(os.path.join(STUDY_GOLDEN, name), "wb") as handle:
+            handle.write(outs[name])
+    digest = hashlib.sha256(outs["report.json"]).hexdigest()
+    golden = {"report_sha256": digest, "provenance": _numeric_provenance()}
+    with open(os.path.join(STUDY_GOLDEN, "provenance.json"), "w", encoding="utf-8") as handle:
+        json.dump(golden, handle, indent=2, sort_keys=True)
+        handle.write("\n")

@@ -1,6 +1,7 @@
 """Synthetic benchmark tests: data generation, training, probing, studies."""
 
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -27,12 +28,14 @@ from confcl.bench import (
     train,
     variant_spec,
 )
-from confcl.losses import ViewPairBatch, loss_decoupled, loss_gradient
+from confcl.losses import BatchPartition, ViewPairBatch, loss_decoupled, loss_gradient
 from confcl.metadata import (
+    KernelMatrix,
     KernelVariant,
     MetadataSummary,
     Source,
     kernel_matrix,
+    summarize,
     summarize_batch,
 )
 
@@ -455,6 +458,86 @@ def test_train_unlabeled_data_makes_variant_irrelevant():
     ]
     for curve in curves[1:]:
         assert curve == curves[0]
+
+
+def _reference_train(config, exams, rng, spec):
+    """train by the public per-batch definition: each batch's partition and
+    kernel come from batch_loss_inputs over its own summaries, and its loss
+    and gradient from loss_gradient.  Also returns the (|A|, |U|) sizes seen."""
+    encoder = Encoder.init(
+        config.input_dim, config.hidden_dim, config.embed_dim, config.normalize_embeddings, rng
+    )
+    features = np.stack([e.features for e in exams])
+    epsilon = spec.epsilon if spec.epsilon is not None else config.epsilon
+    summaries = [summarize(e.annotation, epsilon) for e in exams]
+    velocity = {k: np.zeros_like(v) for k, v in encoder.params().items()}
+    epoch_losses, sizes = [], set()
+    for _ in range(config.epochs):
+        order = rng.permutation(len(exams))
+        batch_losses = []
+        for start in range(0, len(exams), config.batch_size):
+            idx = order[start : start + config.batch_size]
+            v1 = augment(features[idx], config.aug_sigma, rng)
+            v2 = augment(features[idx], config.aug_sigma, rng)
+            e1, cache1 = encoder.forward(v1)
+            e2, cache2 = encoder.forward(v2)
+            partition, kernel = batch_loss_inputs([summaries[i] for i in idx], spec)
+            sizes.add((len(partition.labeled), len(partition.unlabeled)))
+            grads = loss_gradient(
+                "decoupled", ViewPairBatch(e1, e2), partition, kernel, spec.global_uniformity
+            )
+            pgrads = encoder.backward(cache1, grads.g1)
+            for key, val in encoder.backward(cache2, grads.g2).items():
+                pgrads[key] += val
+            params = encoder.params()
+            for key in params:
+                velocity[key] = config.momentum * velocity[key] - config.learning_rate * pgrads[key]
+                params[key] += velocity[key]
+            batch_losses.append(grads.breakdown.total)
+        epoch_losses.append(float(np.mean(batch_losses)))
+    return encoder, epoch_losses, sizes
+
+
+@pytest.mark.parametrize("variant", sorted(STUDY_VARIANTS))
+def test_train_equals_public_per_batch_definition(variant):
+    # Batches of 3 plus a final batch of 1 give |A| and |U| of 0 and 1.
+    cfg = _small_config(n_exams=25, batch_size=3, frac_unlabeled=0.5, momentum=0.5, epochs=2)
+    exams = generate_dataset(cfg, seed=3)
+    spec = variant_spec(variant)
+    encoder, epoch_losses = train(cfg, exams, np.random.default_rng(11), spec)
+    ref, ref_losses, sizes = _reference_train(cfg, exams, np.random.default_rng(11), spec)
+    assert epoch_losses == ref_losses
+    for key, val in encoder.params().items():
+        assert np.array_equal(val, ref.params()[key])
+    if variant == "proposed":
+        assert {0, 1} <= {a for a, _ in sizes} and {0, 1} <= {u for _, u in sizes}
+
+
+def test_train_validates_loss_inputs_once_per_cell_not_per_step(monkeypatch):
+    counts = Counter()
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for cls in (KernelMatrix, BatchPartition):
+        monkeypatch.setattr(cls, "__post_init__", counting(cls.__name__, cls.__post_init__))
+    monkeypatch.setattr(np, "ix_", counting("np.ix_", np.ix_))
+
+    def constructions(variant, epochs):
+        cfg = _small_config(epochs=epochs, frac_unlabeled=0.3)
+        exams = generate_dataset(cfg, seed=0)
+        counts.clear()
+        train(cfg, exams, np.random.default_rng(3), variant_spec(variant))
+        return dict(counts)
+
+    for variant in STUDY_VARIANTS:
+        once = constructions(variant, 1)
+        assert once["BatchPartition"] == 1
+        assert constructions(variant, 3) == once
 
 
 # ---------------------------------------------------------------------------

@@ -236,6 +236,23 @@ def test_loss_rejects_more_exams_than_rows(capsys, tmp_path):
     assert "4 exams" in err["message"]
 
 
+def test_loss_non_finite_view_csv_exits_1_naming_file_and_line(capsys, tmp_path):
+    _, _, p1, p2 = _write_views(tmp_path)
+    lines = open(p1).read().splitlines()
+    lines[1] = "nan," + lines[1].split(",")[1]
+    with open(p1, "w") as handle:
+        handle.write("\n".join(lines) + "\n")
+    out = tmp_path / "loss.json"
+    code, stdout, stderr = _run(capsys, ["loss", "--x1", p1, "--x2", p2, "--out", str(out)])
+    assert code == 1
+    assert stdout == ""
+    assert not out.exists()
+    err = json.loads(stderr)
+    assert err["error"] == "FileFormatError"
+    assert (err["file"], err["line"]) == (p1, 2)
+    assert "non-finite cell" in err["message"]
+
+
 def test_loss_requires_both_view_files(capsys, tmp_path):
     _, _, p1, _ = _write_views(tmp_path)
     code, _, stderr = _run(capsys, ["loss", "--x1", p1])

@@ -133,11 +133,30 @@ def test_matrix_csv_rejects_garbage(tmp_path):
         read_matrix_csv(str(path))
     assert info.value.line == 2
     path.write_text("1.0,2.0\n3.0\n")
-    with pytest.raises(FileFormatError, match="ragged"):
+    with pytest.raises(FileFormatError, match="ragged") as info:
         read_matrix_csv(str(path))
+    assert (info.value.file, info.value.line) == (str(path), 2)
     path.write_text("")
     with pytest.raises(FileFormatError, match="empty"):
         read_matrix_csv(str(path))
+
+
+@pytest.mark.parametrize("cell", ["nan", "NaN", "inf", "-inf", "Infinity", "1e400"])
+def test_matrix_csv_rejects_non_finite_cells_naming_file_and_line(tmp_path, cell):
+    path = tmp_path / "m.csv"
+    path.write_text(f"1.0,2.0\n\n3.0,4.0\n5.0,{cell}\n6.0,nan\n")
+    with pytest.raises(FileFormatError, match="non-finite cell") as info:
+        read_matrix_csv(str(path))
+    assert (info.value.file, info.value.line) == (str(path), 4)
+    assert str(info.value).startswith(f"{path}:4: ")
+
+
+def test_matrix_csv_ragged_names_the_first_short_row(tmp_path):
+    path = tmp_path / "m.csv"
+    path.write_text("1.0,2.0\n3.0,4.0\n\n5.0,6.0,7.0\n8.0\n")
+    with pytest.raises(FileFormatError, match="ragged rows: 3 cells, not 2") as info:
+        read_matrix_csv(str(path))
+    assert info.value.line == 4
 
 
 def _per_element_csv(matrix) -> bytes:
