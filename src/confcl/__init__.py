@@ -1,11 +1,9 @@
 """Confidence-weighted conditional contrastive learning toolkit.
 
-Typical use::
+The package exposes only ``__version__``; import from the submodules::
 
-    from confcl import (
-        AnnotationVector, summarize_batch, kernel_matrix,
-        ViewPairBatch, partition_batch, loss_decoupled,
-    )
+    from confcl.losses import ViewPairBatch, loss_decoupled, partition_batch
+    from confcl.metadata import kernel_matrix, summarize_batch
 
     summaries = summarize_batch(vectors)
     part = partition_batch(summaries)
@@ -16,77 +14,5 @@ plus detection metrics (``confcl.detection``), a synthetic ablation
 benchmark (``confcl.bench``), file formats (``confcl.io``), and a CLI
 (``confcl`` / ``python -m confcl``).
 """
-
-from .bench import (
-    DEFAULT_STUDY_SEEDS,
-    STUDY_VARIANTS,
-    AnnotatorParams,
-    Encoder,
-    StudyReport,
-    SynthConfig,
-    SynthExam,
-    TrainingDivergedError,
-    augment,
-    default_config,
-    generate_dataset,
-    linear_probe,
-    run_study,
-    simulate_annotators,
-    train,
-)
-from .detection import (
-    BinaryMask,
-    Component,
-    DetectionOutcome,
-    DynamicThresholdParams,
-    ExamResult,
-    FalsePositive,
-    LesionCandidate,
-    ProbVolume,
-    TruePositive,
-    average_precision,
-    connected_components,
-    dynamic_threshold,
-    evaluate_exam,
-    exam_auc,
-    exam_score,
-    lesion_auc,
-    lesion_candidates,
-    match_lesions,
-    roc_auc,
-    threshold_volume,
-)
-from .losses import (
-    DegenerateUniformityError,
-    BatchPartition,
-    GradientBatch,
-    LossBreakdown,
-    ViewPairBatch,
-    evaluate_loss,
-    finite_diff_gradient,
-    loss_conditional,
-    loss_decoupled,
-    loss_gradient,
-    loss_nce,
-    max_relative_error,
-    pairwise_distances,
-    partition_batch,
-)
-from .metadata import (
-    DEFAULT_EPSILON,
-    AnnotationError,
-    AnnotationVector,
-    KernelMatrix,
-    KernelVariant,
-    MetadataSummary,
-    RawAnnotation,
-    Source,
-    binarize,
-    confidence,
-    kernel_matrix,
-    pair_weight,
-    summarize,
-    summarize_batch,
-)
 
 __version__ = "0.1.0"

@@ -39,7 +39,6 @@ from .metadata import (
 )
 
 __all__ = [
-    "WORKERS_ENV",
     "DEFAULT_STUDY_SEEDS",
     "STUDY_VARIANTS",
     "variant_spec",
@@ -62,7 +61,6 @@ __all__ = [
     "run_study",
 ]
 
-WORKERS_ENV = "CONFCL_THREADS"
 DEFAULT_STUDY_SEEDS = tuple(range(10))
 
 # Keeps row normalization differentiable for an all-zero embedding row.
@@ -82,6 +80,14 @@ class TrainingDivergedError(RuntimeError):
         self.breakdown = breakdown
 
 
+def _require_ints(obj, names: tuple[str, ...]) -> None:
+    """Reject bools and non-integers, which would pass the range checks."""
+    for name in names:
+        value = getattr(obj, name)
+        if type(value) is not int:
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class AnnotatorParams:
     n_min: int = 1
@@ -90,6 +96,7 @@ class AnnotatorParams:
     p_abstain: float = 0.1
 
     def __post_init__(self) -> None:
+        _require_ints(self, ("n_min", "n_max"))
         if not (1 <= self.n_min <= self.n_max <= 7):
             raise ValueError("need 1 <= n_min <= n_max <= 7")
         for name in ("p_flip", "p_abstain"):
@@ -119,13 +126,16 @@ class SynthConfig:
     epsilon: float = DEFAULT_EPSILON
 
     def __post_init__(self) -> None:
-        if self.n_exams < 0:
-            raise ValueError("n_exams must be >= 0")
+        _require_ints(
+            self, ("n_exams", "input_dim", "hidden_dim", "embed_dim", "epochs", "batch_size", "seed")
+        )
+        if type(self.normalize_embeddings) is not bool:
+            raise ValueError(f"normalize_embeddings must be a bool, got {self.normalize_embeddings!r}")
         for name in ("input_dim", "hidden_dim", "embed_dim", "batch_size"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
-        for name in ("class_separation", "noise_sigma", "aug_sigma"):
-            if getattr(self, name) < 0.0:
+        for name in ("n_exams", "epochs", "seed", "class_separation", "noise_sigma", "aug_sigma"):
+            if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
         if not (0.0 <= self.frac_unlabeled <= 1.0):
             raise ValueError("frac_unlabeled outside [0, 1]")
@@ -133,8 +143,6 @@ class SynthConfig:
             raise ValueError(
                 f"unknown variant {self.variant!r}; expected one of {sorted(STUDY_VARIANTS)}"
             )
-        if self.epochs < 0:
-            raise ValueError("epochs must be >= 0")
         if self.learning_rate < 0.0:
             raise ValueError("learning_rate must be >= 0")
         if not (0.0 <= self.momentum < 1.0):
@@ -602,16 +610,15 @@ def run_study(
     config: SynthConfig,
     variants: tuple[str, ...] | list[str] | None = None,
     seeds: tuple[int, ...] | list[int] | None = None,
-    workers: int | None = None,
+    workers: int = 1,
 ) -> StudyReport:
     """Sweep variant x seed cells and aggregate.
 
     Every cell is independent and owns RNG streams derived from
     (config.seed, the variant's position in STUDY_VARIANTS, the seed
     value), so a cell's record is the same for any worker count, variant
-    order or set of other cells.  Workers default to the CONFCL_THREADS
-    environment variable (1 if unset) and never exceed the number of
-    cells or of usable CPUs.  Repeated variants, repeated seeds and
+    order or set of other cells.  Workers never exceed the number of cells
+    or of usable CPUs.  Repeated variants, repeated seeds and
     negative seeds are rejected; a cell that raises RuntimeError or
     ValueError records its error and leaves the rest of the study running.
     """
@@ -625,12 +632,6 @@ def run_study(
         raise ValueError(f"seeds must be >= 0, got {sorted(s for s in seeds if s < 0)}")
     for v in variants:
         variant_spec(v)
-    if workers is None:
-        raw = os.environ.get(WORKERS_ENV, "1")
-        try:
-            workers = int(raw)
-        except ValueError:
-            raise ValueError(f"{WORKERS_ENV}={raw!r} is not an integer") from None
     if workers < 1:
         raise ValueError("workers must be >= 1")
     args = _cell_args(config, variants, seeds)

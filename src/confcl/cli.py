@@ -189,16 +189,6 @@ def _cmd_gradcheck(args: argparse.Namespace) -> int:
     return 0 if ok else 1
 
 
-def _dynamic_params(args: argparse.Namespace) -> detection.DynamicThresholdParams:
-    return detection.DynamicThresholdParams(
-        t_start=args.t_start,
-        t_min=args.t_min,
-        step=args.step,
-        max_candidates=args.max_candidates,
-        min_voxels=args.min_voxels,
-    )
-
-
 def _cmd_eval_detect(args: argparse.Namespace) -> int:
     if len(args.prob) != len(args.ref):
         raise ValueError(
@@ -207,6 +197,11 @@ def _cmd_eval_detect(args: argparse.Namespace) -> int:
     if args.threshold is not None and args.dynamic:
         raise ValueError("give --threshold or --dynamic, not both")
     fixed_t = 0.5 if args.threshold is None else args.threshold
+    dynamic = None
+    if args.dynamic:
+        dynamic = detection.DynamicThresholdParams(
+            args.t_start, args.t_min, args.step, args.max_candidates, args.min_voxels
+        )
     results = []
     for idx, (prob_path, ref_path) in enumerate(zip(args.prob, args.ref)):
         volume = detection.ProbVolume(cio.read_volume(prob_path))
@@ -219,7 +214,7 @@ def _cmd_eval_detect(args: argparse.Namespace) -> int:
                 tau=args.tau,
                 connectivity=args.connectivity,
                 threshold=None if args.dynamic else fixed_t,
-                dynamic=_dynamic_params(args) if args.dynamic else None,
+                dynamic=dynamic,
             )
         )
     outcomes = [r.outcome for r in results]
@@ -406,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--seed", type=int, default=None, help="override the config seed")
     p_sim.add_argument("--variants", default=None, help="comma-separated variant names")
     p_sim.add_argument("--seeds", default=None, help="comma-separated dataset seeds")
-    p_sim.add_argument("--workers", type=int, default=None, help=f"cell parallelism (default ${bench.WORKERS_ENV} or 1)")
+    p_sim.add_argument("--workers", type=int, default=1, help="cell parallelism")
     p_sim.add_argument("--out", default=None, help="report JSON path (default stdout)")
     p_sim.add_argument("--cells-csv", default=None, help="per-cell CSV path")
     p_sim.add_argument("--summary-csv", default=None, help="per-variant mean/std CSV path")
@@ -420,8 +415,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (cio.FileFormatError, metadata.AnnotationError, losses.DegenerateUniformityError) as exc:
-        return _fail(exc)
+    # FileFormatError, AnnotationError and DegenerateUniformityError are ValueErrors.
     except (ValueError, OSError) as exc:
         return _fail(exc)
 

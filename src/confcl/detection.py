@@ -14,6 +14,7 @@ zero-score positives.  Only the public adapters that return
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -36,7 +37,6 @@ __all__ = [
     "lesion_candidates",
     "match_lesions",
     "evaluate_exam",
-    "exam_score",
     "roc_auc",
     "exam_auc",
     "lesion_auc",
@@ -44,6 +44,10 @@ __all__ = [
 ]
 
 CONNECTIVITIES = (6, 18, 26)
+# Most thresholds one dynamic search may visit: each visit labels the whole
+# volume, so a tiny step would run for hours (or never reach t_min in
+# floating point).  The default search visits 11.
+MAX_THRESHOLDS = 1000
 
 
 @dataclass(frozen=True)
@@ -155,8 +159,12 @@ class DynamicThresholdParams:
     def __post_init__(self) -> None:
         if not (0.0 <= self.t_min <= self.t_start <= 1.0):
             raise ValueError("need 0 <= t_min <= t_start <= 1")
-        if self.step <= 0.0:
-            raise ValueError("step must be positive")
+        if not (0.0 < self.step < math.inf):
+            raise ValueError(f"step {self.step} must be positive and finite")
+        if (self.t_start - self.t_min) / self.step > MAX_THRESHOLDS - 1:
+            raise ValueError(
+                f"step {self.step} would visit more than {MAX_THRESHOLDS} thresholds"
+            )
         if self.max_candidates < 1 or self.min_voxels < 1:
             raise ValueError("max_candidates and min_voxels must be >= 1")
 
@@ -337,11 +345,6 @@ def match_lesions(
     cand = _component_labels([c.component for c in candidates], shape)
     probs = [c.probability for c in candidates]
     return _match(cand, probs, [c.id for c in candidates], ref, [r.id for r in references], tau)
-
-
-def exam_score(candidates: tuple[LesionCandidate, ...] | list[LesionCandidate]) -> float:
-    """Exam-level suspicion: the highest candidate probability, 0 if none."""
-    return max((c.probability for c in candidates), default=0.0)
 
 
 def evaluate_exam(

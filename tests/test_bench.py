@@ -10,7 +10,6 @@ from confcl.bench import (
     DEFAULT_STUDY_SEEDS,
     STUDY_VARIANTS,
     SUMMARY_FIELDS,
-    WORKERS_ENV,
     AnnotatorParams,
     CellRecord,
     Encoder,
@@ -100,6 +99,18 @@ def test_config_from_dict_rejects_unknown_fields():
         {"momentum": -0.1},
         {"epsilon": 0.0},
         {"epsilon": 1.5},
+        {"epochs": 2.5},
+        {"n_exams": 40.0},
+        {"input_dim": 16.0},
+        {"hidden_dim": "32"},
+        {"embed_dim": 8.0},
+        {"batch_size": 16.5},
+        {"seed": 1.0},
+        {"seed": -1},
+        {"epochs": True},
+        {"batch_size": True},
+        {"normalize_embeddings": "no"},
+        {"normalize_embeddings": 1},
     ],
 )
 def test_config_validation(kwargs):
@@ -119,6 +130,9 @@ def test_config_allows_zero_learning_rate():
         {"n_min": 5, "n_max": 3},
         {"p_flip": -0.1},
         {"p_abstain": 1.1},
+        {"n_min": 1.0},
+        {"n_max": 6.5},
+        {"n_min": True},
     ],
 )
 def test_annotator_params_validation(kwargs):
@@ -735,14 +749,6 @@ def test_run_study_worker_count_does_not_change_results():
     assert _study_json(serial) == _study_json(parallel)
 
 
-def test_run_study_defaults_read_worker_env(monkeypatch):
-    cfg = _small_config()
-    monkeypatch.setenv(WORKERS_ENV, "1")
-    via_env = run_study(cfg, variants=["proposed"], seeds=[0])
-    explicit = run_study(cfg, variants=["proposed"], seeds=[0], workers=1)
-    assert _study_json(via_env) == _study_json(explicit)
-
-
 def test_run_study_default_grid():
     assert DEFAULT_STUDY_SEEDS == tuple(range(10))
     assert SUMMARY_FIELDS == ("probe_acc", "probe_auc", "align", "unif", "final_loss")
@@ -796,12 +802,6 @@ def test_run_study_validates_inputs():
         run_study(cfg, variants=["proposed"], seeds=[0, 1, 0], workers=1)
     with pytest.raises(ValueError, match="seeds must be >= 0"):
         run_study(cfg, variants=["proposed"], seeds=[0, -1], workers=1)
-
-
-def test_run_study_names_a_non_integer_worker_env(monkeypatch):
-    monkeypatch.setenv(WORKERS_ENV, "four")
-    with pytest.raises(ValueError, match=WORKERS_ENV):
-        run_study(_small_config(), variants=["proposed"], seeds=[0])
 
 
 def _serial_pool(monkeypatch, usable_cpus):

@@ -390,6 +390,18 @@ def test_eval_detect_rejects_both_modes(capsys, tmp_path):
     assert "not both" in json.loads(stderr)["message"]
 
 
+def test_eval_detect_rejects_an_unbounded_step_before_reading(capsys, tmp_path):
+    missing = str(tmp_path / "missing.vol")  # the step fails first, not the read
+    code, _, stderr = _run(
+        capsys,
+        ["eval-detect", "--prob", missing, "--ref", missing, "--dynamic", "--step", "1e-20"],
+    )
+    assert code == 1
+    err = json.loads(stderr)
+    assert err["error"] == "ValueError"
+    assert "would visit more than 1000 thresholds" in err["message"]
+
+
 def test_eval_detect_mismatched_file_counts(capsys, tmp_path):
     vol, mask = _detection_fixture(tmp_path)
     code, _, stderr = _run(
@@ -571,6 +583,17 @@ def test_simulate_rejects_unknown_config_field(capsys, tmp_path):
     assert err["error"] == "FileFormatError"
     assert err["file"] == str(path)
     assert "learning_rte" in err["message"]
+
+
+@pytest.mark.parametrize("body", ['{"epochs": 2.5}', '{"n_exams": 40.0}', '{"seed": -1}'])
+def test_simulate_rejects_a_bad_config_value(capsys, tmp_path, body):
+    path = tmp_path / "config.json"
+    path.write_text(body, encoding="utf-8")
+    code, _, stderr = _run(capsys, ["simulate", "--config", str(path)])
+    assert code == 1
+    err = json.loads(stderr)
+    assert err["error"] == "FileFormatError"
+    assert err["file"] == str(path)
 
 
 def test_simulate_rejects_invalid_json(capsys, tmp_path):

@@ -26,7 +26,6 @@ from confcl.detection import (
     dynamic_threshold,
     evaluate_exam,
     exam_auc,
-    exam_score,
     lesion_auc,
     lesion_candidates,
     match_lesions,
@@ -327,6 +326,15 @@ def test_dynamic_threshold_params_validation():
         DynamicThresholdParams(step=0.0)
     with pytest.raises(ValueError):
         DynamicThresholdParams(max_candidates=0)
+    for step in (float("nan"), float("inf"), -0.05):
+        with pytest.raises(ValueError, match="positive and finite"):
+            DynamicThresholdParams(step=step)
+    # At most 1000 thresholds: 1 + ceil((t_start - t_min) / step).
+    assert DynamicThresholdParams(t_start=1.0, t_min=0.0, step=1 / 999).step == 1 / 999
+    for step in (1 / 1000, 1e-6, 1e-20, 5e-324):
+        with pytest.raises(ValueError, match="more than 1000 thresholds"):
+            DynamicThresholdParams(t_start=1.0, t_min=0.0, step=step)
+    assert DynamicThresholdParams(t_start=0.3, t_min=0.3, step=1e-20).step == 1e-20
 
 
 # ---------------------------------------------------------------------------
@@ -459,14 +467,6 @@ def test_match_rejects_overlapping_references():
     out = match_lesions([LesionCandidate(a, 0.9), LesionCandidate(b, 0.8)], [a])
     assert [(tp.candidate_id, tp.overlap) for tp in out.true_positives] == [(0, 1.0)]
     assert [fp.candidate_id for fp in out.false_positives] == [1]
-
-
-def test_exam_score_takes_the_peak_candidate():
-    dims = (2, 1, 1)
-    mk = lambda p, cid: LesionCandidate(_component({(cid, 0, 0)}, dims, cid), p)
-    assert exam_score([]) == 0.0
-    assert exam_score([mk(0.2, 0), mk(0.9, 1)]) == 0.9
-    assert exam_score([mk(0.55, 0)]) == 0.55
 
 
 # ---------------------------------------------------------------------------
