@@ -7,7 +7,7 @@ The package exposes only ``__version__``; import from the submodules::
 
     summaries = summarize_batch(vectors)
     part = partition_batch(summaries)
-    kernel = kernel_matrix(list(part.labeled_summaries))
+    kernel = kernel_matrix([summaries[i] for i in part.labeled])
     breakdown = loss_decoupled(batch, part, kernel)
 
 plus detection metrics (``confcl.detection``), a synthetic ablation

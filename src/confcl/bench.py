@@ -49,6 +49,7 @@ __all__ = [
     "SynthExam",
     "VariantSpec",
     "Encoder",
+    "normalize_rows",
     "CellRecord",
     "StudyReport",
     "default_config",
@@ -139,10 +140,7 @@ class SynthConfig:
                 raise ValueError(f"{name} must be >= 0")
         if not (0.0 <= self.frac_unlabeled <= 1.0):
             raise ValueError("frac_unlabeled outside [0, 1]")
-        if self.variant not in STUDY_VARIANTS:
-            raise ValueError(
-                f"unknown variant {self.variant!r}; expected one of {sorted(STUDY_VARIANTS)}"
-            )
+        variant_spec(self.variant)
         if self.learning_rate < 0.0:
             raise ValueError("learning_rate must be >= 0")
         if not (0.0 <= self.momentum < 1.0):
@@ -269,6 +267,12 @@ def augment(features: np.ndarray, sigma: float, rng: np.random.Generator) -> np.
 # ---------------------------------------------------------------------------
 
 
+def normalize_rows(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows scaled to unit L2 norm, and the (N,) norms sqrt(|z_i|^2 + EPS_NORM^2)."""
+    norms = np.sqrt((z * z).sum(axis=1) + EPS_NORM**2)
+    return z / norms[:, None], norms
+
+
 @dataclass
 class Encoder:
     """Affine -> tanh -> affine, with optional output row normalization."""
@@ -299,12 +303,7 @@ class Encoder:
     def forward(self, x: np.ndarray) -> tuple[np.ndarray, dict]:
         h = np.tanh(x @ self.w1 + self.b1)
         z = h @ self.w2 + self.b2
-        if self.normalize:
-            norms = np.sqrt((z * z).sum(axis=1) + EPS_NORM**2)
-            emb = z / norms[:, None]
-        else:
-            norms = None
-            emb = z
+        emb, norms = normalize_rows(z) if self.normalize else (z, None)
         return emb, {"x": x, "h": h, "z": z, "norms": norms}
 
     def encode(self, x: np.ndarray) -> np.ndarray:
@@ -357,15 +356,10 @@ def _summaries_for(exams: list[SynthExam], config: SynthConfig, spec: VariantSpe
 def batch_loss_inputs(summaries, spec: VariantSpec):
     """Partition a batch's summaries and build the labeled-block kernel."""
     if spec.kernel is None:
-        partition = BatchPartition((), tuple(range(len(summaries))), ())
-        return partition, None
+        return BatchPartition((), tuple(range(len(summaries)))), None
     partition = partition_batch(summaries, spec.kernel)
-    kernel = (
-        kernel_matrix(list(partition.labeled_summaries), spec.kernel)
-        if partition.labeled
-        else None
-    )
-    return partition, kernel
+    labeled = [summaries[i] for i in partition.labeled]
+    return partition, kernel_matrix(labeled, spec.kernel) if labeled else None
 
 
 def train(

@@ -26,8 +26,9 @@ KERNEL_VARIANT_NAMES = ("proposed", "hc", "majority", "biopsy")
 
 
 def _print_json(payload: dict, out: str | None) -> None:
+    """Strict JSON: a NaN or infinity raises ValueError instead of printing a non-JSON token."""
     if out is None:
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False))
     else:
         cio.write_json_atomic(out, payload)
 
@@ -92,13 +93,14 @@ def _cmd_kernel(args: argparse.Namespace) -> int:
     summaries = _read_summaries(args)
     spec = bench.variant_spec(args.variant)
     partition = losses.partition_batch(summaries, spec.kernel)
-    kernel = metadata.kernel_matrix(list(partition.labeled_summaries), spec.kernel)
+    labeled = [summaries[i] for i in partition.labeled]
+    kernel = metadata.kernel_matrix(labeled, spec.kernel)
     cio.write_matrix_csv(args.out, kernel.weights)
     _print_json(
         {
             "variant": args.variant,
             "epsilon": args.epsilon,
-            "labeled": [s.exam_id for s in partition.labeled_summaries],
+            "labeled": [s.exam_id for s in labeled],
             "unlabeled": [summaries[i].exam_id for i in partition.unlabeled],
             "shape": list(kernel.weights.shape),
             "out": args.out,
@@ -119,8 +121,7 @@ def _load_views(args: argparse.Namespace) -> tuple[np.ndarray, np.ndarray]:
 def _cmd_loss(args: argparse.Namespace) -> int:
     x1, x2 = _load_views(args)
     if args.normalize:
-        x1 = x1 / np.sqrt((x1 * x1).sum(axis=1, keepdims=True) + bench.EPS_NORM**2)
-        x2 = x2 / np.sqrt((x2 * x2).sum(axis=1, keepdims=True) + bench.EPS_NORM**2)
+        x1, x2 = bench.normalize_rows(x1)[0], bench.normalize_rows(x2)[0]
     batch = losses.ViewPairBatch(x1, x2)
     spec = bench.variant_spec(args.variant)
     # Metadata rows map onto batch rows by first appearance order; rows
@@ -158,6 +159,8 @@ def _random_summaries(
 
 
 def _cmd_gradcheck(args: argparse.Namespace) -> int:
+    if not 0.0 <= args.tol < np.inf:
+        raise ValueError(f"--tol must be finite and >= 0, got {args.tol!r}")
     rng = np.random.default_rng(args.seed)
     batch = losses.ViewPairBatch(
         rng.normal(0.0, 1.0, (args.n, args.d)), rng.normal(0.0, 1.0, (args.n, args.d))

@@ -133,11 +133,7 @@ def read_metadata_rows(path: str) -> list[RawAnnotation]:
 
 
 def write_metadata_rows(path: str, rows: list[RawAnnotation]) -> None:
-    with atomic_write(path) as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(METADATA_HEADER)
-        for row in rows:
-            writer.writerow([row.exam_id, row.source.value, row.value])
+    write_csv_table(path, METADATA_HEADER, [(r.exam_id, r.source.value, r.value) for r in rows])
 
 
 def group_annotations(rows: list[RawAnnotation]) -> list[AnnotationVector]:
@@ -224,19 +220,38 @@ def _read_exact(handle: _io.BufferedReader, count: int, path: str, what: str) ->
     return data
 
 
-def _read_payload(handle: _io.BufferedReader, count: int, path: str) -> bytes:
-    """The rest of the file, which must be exactly the ``count`` bytes the header declared.
+def _write_container(path: str, magic: bytes, dims: tuple[int, ...], *payloads: bytes) -> None:
+    """Magic, little-endian int32 dims, then the payloads back to back."""
+    with atomic_write(path, binary=True) as handle:
+        handle.write(magic + struct.pack(f"<{len(dims)}i", *dims))
+        handle.writelines(payloads)
 
-    Checked against the file size first, so a corrupt header asks for no buffer.
+
+def _read_container(
+    path: str, magic: bytes, ndims: int, itemsize: int
+) -> tuple[tuple[int, ...], bytes]:
+    """The dims and payload of a file _write_container wrote.
+
+    Every dim must be at least 1, and the rest of the file must be exactly
+    the itemsize * prod(dims) bytes the header declares; that is checked
+    against the file size first, so a corrupt header asks for no buffer.
     """
-    remaining = os.fstat(handle.fileno()).st_size - handle.tell()
-    if count > remaining:
-        raise FileFormatError(
-            f"truncated payload: header declares {count} bytes, {remaining} follow it", path
-        )
-    if count < remaining:
-        raise FileFormatError("trailing bytes after payload", path)
-    return _read_exact(handle, count, path, "payload")
+    with open(path, "rb") as handle:
+        got = _read_exact(handle, 4, path, "magic")
+        if got != magic:
+            raise FileFormatError(f"bad magic {got!r}, expected {magic!r}", path)
+        dims = struct.unpack(f"<{ndims}i", _read_exact(handle, 4 * ndims, path, "header"))
+        if any(d < 1 for d in dims):
+            raise FileFormatError(f"bad dimensions {dims}", path)
+        count = itemsize * math.prod(dims)
+        remaining = os.fstat(handle.fileno()).st_size - handle.tell()
+        if count > remaining:
+            raise FileFormatError(
+                f"truncated payload: header declares {count} bytes, {remaining} follow it", path
+            )
+        if count < remaining:
+            raise FileFormatError("trailing bytes after payload", path)
+        return dims, _read_exact(handle, count, path, "payload")
 
 
 def write_embeddings(path: str, x1: np.ndarray, x2: np.ndarray) -> None:
@@ -245,22 +260,11 @@ def write_embeddings(path: str, x1: np.ndarray, x2: np.ndarray) -> None:
     b = np.ascontiguousarray(x2, dtype="<f8")
     if a.ndim != 2 or a.shape != b.shape:
         raise ValueError(f"views must share an (N, D) shape, got {a.shape} and {b.shape}")
-    with atomic_write(path, binary=True) as handle:
-        handle.write(EMB_MAGIC)
-        handle.write(struct.pack("<ii", *a.shape))
-        handle.write(a.tobytes(order="C"))
-        handle.write(b.tobytes(order="C"))
+    _write_container(path, EMB_MAGIC, a.shape, a.tobytes(order="C"), b.tobytes(order="C"))
 
 
 def read_embeddings(path: str) -> tuple[np.ndarray, np.ndarray]:
-    with open(path, "rb") as handle:
-        magic = _read_exact(handle, 4, path, "magic")
-        if magic != EMB_MAGIC:
-            raise FileFormatError(f"bad magic {magic!r}, expected {EMB_MAGIC!r}", path)
-        n, d = struct.unpack("<ii", _read_exact(handle, 8, path, "header"))
-        if n < 1 or d < 1:
-            raise FileFormatError(f"bad dimensions ({n}, {d})", path)
-        payload = _read_payload(handle, 2 * n * d * 8, path)
+    (n, d), payload = _read_container(path, EMB_MAGIC, 2, 2 * 8)
     flat = np.frombuffer(payload, dtype="<f8")
     x1 = flat[: n * d].reshape(n, d).astype(np.float64)
     x2 = flat[n * d :].reshape(n, d).astype(np.float64)
@@ -274,28 +278,12 @@ def write_volume(path: str, data: np.ndarray) -> None:
     v = np.asarray(data, dtype=np.float64)
     if v.ndim != 3:
         raise ValueError(f"volume must be 3D, got shape {v.shape}")
-    with atomic_write(path, binary=True) as handle:
-        handle.write(VOL_MAGIC)
-        handle.write(struct.pack("<iii", *v.shape))
-        handle.write(v.astype("<f4").tobytes(order="F"))
-
-
-def _read_grid_header(handle, magic: bytes, path: str) -> tuple[int, int, int]:
-    got = _read_exact(handle, 4, path, "magic")
-    if got != magic:
-        raise FileFormatError(f"bad magic {got!r}, expected {magic!r}", path)
-    dims = struct.unpack("<iii", _read_exact(handle, 12, path, "header"))
-    if any(d < 1 for d in dims):
-        raise FileFormatError(f"bad dimensions {dims}", path)
-    return dims  # type: ignore[return-value]
+    _write_container(path, VOL_MAGIC, v.shape, v.astype("<f4").tobytes(order="F"))
 
 
 def read_volume(path: str) -> np.ndarray:
-    with open(path, "rb") as handle:
-        x, y, z = _read_grid_header(handle, VOL_MAGIC, path)
-        payload = _read_payload(handle, x * y * z * 4, path)
-    data = np.frombuffer(payload, dtype="<f4").reshape((x, y, z), order="F")
-    data = data.astype(np.float64)
+    dims, payload = _read_container(path, VOL_MAGIC, 3, 4)
+    data = np.frombuffer(payload, dtype="<f4").reshape(dims, order="F").astype(np.float64)
     if not np.isfinite(data).all() or data.min() < 0.0 or data.max() > 1.0:
         raise FileFormatError("voxels must be finite and lie in [0, 1]", path)
     return data
@@ -308,17 +296,12 @@ def write_mask(path: str, data: np.ndarray) -> None:
         raise ValueError(f"mask must be 3D, got shape {m.shape}")
     if m.dtype != np.bool_ and not np.isin(m, (0, 1)).all():
         raise ValueError("mask voxels must be 0 or 1")
-    with atomic_write(path, binary=True) as handle:
-        handle.write(MSK_MAGIC)
-        handle.write(struct.pack("<iii", *m.shape))
-        handle.write(m.astype(np.uint8).tobytes(order="F"))
+    _write_container(path, MSK_MAGIC, m.shape, m.astype(np.uint8).tobytes(order="F"))
 
 
 def read_mask(path: str) -> np.ndarray:
-    with open(path, "rb") as handle:
-        x, y, z = _read_grid_header(handle, MSK_MAGIC, path)
-        payload = _read_payload(handle, x * y * z, path)
-    data = np.frombuffer(payload, dtype=np.uint8).reshape((x, y, z), order="F")
+    dims, payload = _read_container(path, MSK_MAGIC, 3, 1)
+    data = np.frombuffer(payload, dtype=np.uint8).reshape(dims, order="F")
     if not np.isin(data, (0, 1)).all():
         raise FileFormatError("mask voxels must be 0 or 1", path)
     return data.astype(bool)
@@ -330,8 +313,9 @@ def read_mask(path: str) -> np.ndarray:
 
 
 def write_json_atomic(path: str, payload: dict) -> None:
+    """Strict JSON: a NaN or infinity raises ValueError and leaves no file."""
     with atomic_write(path) as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
+        json.dump(payload, handle, indent=2, sort_keys=True, allow_nan=False)
         handle.write("\n")
 
 

@@ -115,19 +115,12 @@ class ViewPairBatch:
 
 @dataclass(frozen=True)
 class BatchPartition:
-    """Disjoint labeled/unlabeled row indices covering a batch.
-
-    ``labeled_summaries`` is aligned with ``labeled`` and carries the
-    metadata needed to build the kernel over the labeled block.
-    """
+    """Disjoint labeled/unlabeled row indices covering a batch."""
 
     labeled: tuple[int, ...]
     unlabeled: tuple[int, ...]
-    labeled_summaries: tuple[MetadataSummary, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.labeled_summaries and len(self.labeled_summaries) != len(self.labeled):
-            raise ValueError("one summary per labeled index required")
         overlap = set(self.labeled) & set(self.unlabeled)
         if overlap:
             raise ValueError(f"indices in both groups: {sorted(overlap)}")
@@ -377,17 +370,12 @@ def partition_batch(
     """
     labeled: list[int] = []
     unlabeled: list[int] = []
-    kept: list[MetadataSummary] = []
     for idx, s in enumerate(summaries):
         keep = s.is_labeled
         if keep and variant is KernelVariant.HIGH_CONFIDENCE and s.confidence != 1.0:
             keep = False
-        if keep:
-            labeled.append(idx)
-            kept.append(s)
-        else:
-            unlabeled.append(idx)
-    return BatchPartition(tuple(labeled), tuple(unlabeled), tuple(kept))
+        (labeled if keep else unlabeled).append(idx)
+    return BatchPartition(tuple(labeled), tuple(unlabeled))
 
 
 def loss_decoupled(
@@ -487,6 +475,8 @@ def central_difference(
     h: float = 1e-5,
 ) -> GradientBatch:
     """Coordinate-wise central finite differences (f(x+h) - f(x-h)) / 2h."""
+    if not 0.0 < h < np.inf:
+        raise ValueError(f"finite-difference step h must be finite and > 0, got {h!r}")
     grads = []
     for which in (0, 1):
         x = (x1, x2)[which]

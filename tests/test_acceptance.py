@@ -165,7 +165,7 @@ def _mixed_partition(rng, n):
     labeled = tuple(int(i) for i in order[:n_labeled])
     unlabeled = tuple(int(i) for i in order[n_labeled:])
     summaries = tuple(_random_labeled_summaries(rng, n_labeled))
-    partition = BatchPartition(labeled, unlabeled, summaries)
+    partition = BatchPartition(labeled, unlabeled)
     return partition, kernel_matrix(list(summaries), KernelVariant.PROPOSED)
 
 
@@ -235,8 +235,9 @@ def test_criterion_4_loss_reductions():
 
             # No unlabeled rows: the decoupled loss is the conditional loss.
             kernel = _conditional_kernel(rng, n)
-            summaries = tuple(_random_labeled_summaries(rng, n))
-            all_labeled = BatchPartition(tuple(range(n)), (), summaries)
+            # Unused draw, kept so the rest of the criterion's random stream is unchanged.
+            _random_labeled_summaries(rng, n)
+            all_labeled = BatchPartition(tuple(range(n)), ())
             got = loss_decoupled(batch, all_labeled, kernel).total
             assert abs(got - loss_conditional(batch, kernel).total) <= 1e-10
 
@@ -255,7 +256,6 @@ def test_criterion_4_loss_reductions():
             remapped = BatchPartition(
                 tuple(int(position[i]) for i in partition.labeled),
                 tuple(int(position[i]) for i in partition.unlabeled),
-                partition.labeled_summaries,
             )
             assert abs(loss_decoupled(permuted, remapped, block_kernel).total - base) <= 1e-10
 
@@ -277,7 +277,7 @@ def test_criterion_5_decoupling():
             MetadataSummary.labeled("c", 0, 0.4),
         )
         kernel = kernel_matrix(list(summaries), KernelVariant.PROPOSED)
-        partition = BatchPartition((0, 1, 2), (), summaries)
+        partition = BatchPartition((0, 1, 2), ())
         batch = _random_batch(rng, n=3, d=4)
         coeffs = _decoupled_coefficients(
             pairwise_distances(batch), partition, kernel, False
@@ -295,7 +295,7 @@ def test_criterion_5_decoupling():
             MetadataSummary.labeled("b", 1, 1.0),
         )
         pair_kernel = kernel_matrix(list(pair), KernelVariant.PROPOSED)
-        pair_partition = BatchPartition((0, 1), (2, 3), pair)
+        pair_partition = BatchPartition((0, 1), (2, 3))
         batch = _random_batch(rng, n=4, d=3)
 
         def term_value(x1, x2):

@@ -253,6 +253,22 @@ def test_loss_non_finite_view_csv_exits_1_naming_file_and_line(capsys, tmp_path)
     assert "non-finite cell" in err["message"]
 
 
+def test_loss_non_finite_result_exits_1_and_writes_nothing(capsys, tmp_path):
+    # Finite views whose distances overflow: the total is inf, which strict
+    # JSON refuses, so neither stdout nor the --out path gets a report.
+    packed = tmp_path / "views.emb"
+    cio.write_embeddings(str(packed), np.array([[1e200], [-1e200]]), np.array([[-1e200], [1e200]]))
+    out = tmp_path / "loss.json"
+    for extra in ([], ["--out", str(out)]):
+        code, stdout, stderr = _run(capsys, ["loss", "--embeddings", str(packed), *extra])
+        assert code == 1
+        assert stdout == ""
+        err = json.loads(stderr)
+        assert err["error"] == "ValueError" and "JSON" in err["message"]
+    assert not out.exists()
+    assert os.listdir(tmp_path) == ["views.emb"]
+
+
 def test_loss_requires_both_view_files(capsys, tmp_path):
     _, _, p1, _ = _write_views(tmp_path)
     code, _, stderr = _run(capsys, ["loss", "--x1", p1])
@@ -287,6 +303,19 @@ def test_gradcheck_fails_on_impossible_tolerance(capsys):
     code, stdout, _ = _run(capsys, ["gradcheck", "--tol", "1e-300"])
     assert code == 1
     assert json.loads(stdout)["ok"] is False
+
+
+@pytest.mark.parametrize(
+    "flag, fragment",
+    [("--h=0", "h must be"), ("--h=nan", "h must be"), ("--h=inf", "h must be"), ("--tol=nan", "--tol")],
+)
+def test_gradcheck_rejects_a_bad_step_or_tolerance(capsys, flag, fragment):
+    code, stdout, stderr = _run(capsys, ["gradcheck", "--n", "3", "--d", "2", flag])
+    assert code == 1
+    assert stdout == ""
+    err = json.loads(stderr)
+    assert err["error"] == "ValueError"
+    assert fragment in err["message"]
 
 
 # ---------------------------------------------------------------------------

@@ -351,6 +351,54 @@ def test_impossible_header_fails_before_reading(tmp_path, reader, header):
     assert info.value.file == str(path)
 
 
+# reader -> (magic, dims, payload) of a valid one-element file
+CONTAINERS = {
+    read_embeddings: (EMB_MAGIC, (1, 1), struct.pack("<2d", 0.25, 0.5)),
+    read_volume: (VOL_MAGIC, (1, 1, 1), struct.pack("<f", 0.5)),
+    read_mask: (MSK_MAGIC, (1, 1, 1), bytes([1])),
+}
+CONTAINER_IDS = ["embeddings", "volume", "mask"]
+
+
+def _container(magic, dims, payload):
+    return magic + struct.pack(f"<{len(dims)}i", *dims) + payload
+
+
+@pytest.mark.parametrize("reader", list(CONTAINERS), ids=CONTAINER_IDS)
+def test_container_readers_accept_the_valid_file(tmp_path, reader):
+    magic, dims, payload = CONTAINERS[reader]
+    path = tmp_path / "ok.bin"
+    path.write_bytes(_container(magic, dims, payload))
+    arrays = reader(str(path))
+    for array in arrays if reader is read_embeddings else [arrays]:
+        assert array.shape == dims
+
+
+@pytest.mark.parametrize("reader", list(CONTAINERS), ids=CONTAINER_IDS)
+@pytest.mark.parametrize(
+    "case",
+    ["wrong magic", "short header", "zero dim", "negative dim", "truncated payload", "trailing byte"],
+)
+def test_container_readers_reject_malformed_files(tmp_path, reader, case):
+    # Each case breaks one part of the valid file above.
+    magic, dims, payload = CONTAINERS[reader]
+    zero, negative = (*dims[:-1], 0), (-1, *dims[1:])
+    data, message = {
+        "wrong magic": (_container(b"XXXX", dims, payload), f"bad magic {b'XXXX'!r}"),
+        "short header": (magic + b"\1\0", "truncated header at byte 4"),
+        "zero dim": (_container(magic, zero, payload), f"bad dimensions {zero}"),
+        "negative dim": (_container(magic, negative, payload), f"bad dimensions {negative}"),
+        "truncated payload": (_container(magic, dims, payload[:-1]), "truncated payload"),
+        "trailing byte": (_container(magic, dims, payload + b"\0"), "trailing bytes after payload"),
+    }[case]
+    path = tmp_path / "bad.bin"
+    path.write_bytes(data)
+    with pytest.raises(FileFormatError) as info:
+        reader(str(path))
+    assert info.value.file == str(path)
+    assert info.value.reason.startswith(message)
+
+
 # ---------------------------------------------------------------------------
 # Atomic writes and reports
 # ---------------------------------------------------------------------------

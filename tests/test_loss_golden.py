@@ -46,7 +46,7 @@ def _decoupled(summaries, variant=KernelVariant.PROPOSED, glu=False):
     partition = partition_batch(summaries, variant)
     kernel = None
     if partition.labeled:
-        kernel = kernel_matrix(list(partition.labeled_summaries), variant)
+        kernel = kernel_matrix([summaries[i] for i in partition.labeled], variant)
     return dict(kind="decoupled", partition=partition, kernel=kernel, global_uniformity=glu)
 
 

@@ -262,7 +262,7 @@ def test_partition_routes_unlabeled_rows():
     p = partition_batch(summaries)
     assert p.labeled == (0, 1)
     assert p.unlabeled == (2,)
-    assert [s.exam_id for s in p.labeled_summaries] == ["a", "b"]
+    assert [summaries[i].exam_id for i in p.labeled] == ["a", "b"]
 
 
 def test_partition_high_confidence_demotes_uncertain_exams():
