@@ -69,13 +69,13 @@ EPS_NORM = 1e-12
 
 
 class TrainingDivergedError(RuntimeError):
-    """Non-finite loss or gradient; carries where it happened."""
+    """Non-finite embeddings (``breakdown`` is None), loss or gradient;
+    carries where it happened."""
 
-    def __init__(self, epoch: int, batch_index: int, breakdown: LossBreakdown):
-        super().__init__(
-            f"non-finite loss/gradient at epoch {epoch}, batch {batch_index}: "
-            f"{breakdown.as_dict()}"
-        )
+    def __init__(self, epoch: int, batch_index: int, breakdown: LossBreakdown | None):
+        what = "embeddings" if breakdown is None else "loss/gradient"
+        detail = "" if breakdown is None else f": {breakdown.as_dict()}"
+        super().__init__(f"non-finite {what} at epoch {epoch}, batch {batch_index}{detail}")
         self.epoch = epoch
         self.batch_index = batch_index
         self.breakdown = breakdown
@@ -371,7 +371,7 @@ def train(
     """SGD on the decoupled loss over augmented view pairs.
 
     Returns the trained encoder and per-epoch mean batch losses.  Raises
-    TrainingDivergedError on the first non-finite loss or gradient.
+    TrainingDivergedError on the first non-finite embedding, loss or gradient.
     """
     spec = spec if spec is not None else variant_spec(config.variant)
     encoder = Encoder.init(
@@ -399,6 +399,10 @@ def train(
             v2 = augment(feats, config.aug_sigma, rng)
             e1, cache1 = encoder.forward(v1)
             e2, cache2 = encoder.forward(v2)
+            try:
+                batch = ViewPairBatch(e1, e2)
+            except ValueError as exc:  # the views' shapes match, so only non-finite values fail
+                raise TrainingDivergedError(epoch, batch_index, None) from exc
             rows = block_row[idx]
             labeled = rows >= 0
             block = rows[labeled]
@@ -406,7 +410,7 @@ def train(
             groups = _decoupled_groups(
                 np.flatnonzero(labeled), np.flatnonzero(~labeled), w, spec.global_uniformity
             )
-            grads = _gradient(ViewPairBatch(e1, e2), groups)
+            grads = _gradient(batch, groups)
             breakdown = grads.breakdown
             if not (
                 np.isfinite(breakdown.total)

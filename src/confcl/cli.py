@@ -42,45 +42,37 @@ def _fail(exc: Exception) -> int:
     return 1
 
 
-def _parse_overrides(entries: list[str]) -> dict[str, float]:
+def _parse_overrides(args: argparse.Namespace) -> dict[str, float]:
+    """The --epsilon-override entries as exam id -> epsilon, each value and
+    --epsilon checked against the (0, 1] rule before any file is read."""
+    metadata.check_epsilon(args.epsilon, "--epsilon")
     overrides: dict[str, float] = {}
-    for entry in entries:
+    for entry in args.epsilon_override:
         exam_id, sep, value = entry.partition("=")
         if not sep or not exam_id:
             raise ValueError(f"bad --epsilon-override {entry!r}; expected EXAM_ID=VALUE")
-        overrides[exam_id] = float(value)
+        overrides[exam_id] = metadata.check_epsilon(float(value), f"--epsilon-override {exam_id}")
     return overrides
 
 
-def _resolve_overrides(
-    vectors: list[metadata.AnnotationVector],
-    entries: list[str],
-    biopsy_source: str | None,
-    variant: str,
-) -> dict[str, float]:
-    """Explicit EXAM_ID=VALUE entries plus bulk source-based full trust.
+def _read_summaries(
+    args: argparse.Namespace, overrides: dict[str, float]
+) -> list[metadata.MetadataSummary]:
+    """The --metadata CSV's exams, in first-appearance order, summarized
+    under --epsilon, the parsed overrides and --biopsy-source's full trust.
 
     The biopsy variant without explicit settings defaults to trusting
     every isup-sourced exam fully.
     """
-    overrides = _parse_overrides(entries)
-    if variant == "biopsy" and not entries and biopsy_source is None:
+    vectors = cio.read_metadata_csv(args.metadata)
+    biopsy_source = args.biopsy_source
+    if args.variant == "biopsy" and not overrides and biopsy_source is None:
         biopsy_source = "isup"
     if biopsy_source is not None:
         src = metadata.Source(biopsy_source)
         for vec in vectors:
             if src in vec.sources:
                 overrides.setdefault(vec.exam_id, 1.0)
-    return overrides
-
-
-def _read_summaries(args: argparse.Namespace) -> list[metadata.MetadataSummary]:
-    """The --metadata CSV's exams, in first-appearance order, summarized
-    under the --epsilon, --epsilon-override and --biopsy-source options."""
-    vectors = cio.read_metadata_csv(args.metadata)
-    overrides = _resolve_overrides(
-        vectors, args.epsilon_override, args.biopsy_source, args.variant
-    )
     return metadata.summarize_batch(vectors, args.epsilon, overrides)
 
 
@@ -90,7 +82,7 @@ def _read_summaries(args: argparse.Namespace) -> list[metadata.MetadataSummary]:
 
 
 def _cmd_kernel(args: argparse.Namespace) -> int:
-    summaries = _read_summaries(args)
+    summaries = _read_summaries(args, _parse_overrides(args))
     spec = bench.variant_spec(args.variant)
     partition = losses.partition_batch(summaries, spec.kernel)
     labeled = [summaries[i] for i in partition.labeled]
@@ -119,6 +111,7 @@ def _load_views(args: argparse.Namespace) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _cmd_loss(args: argparse.Namespace) -> int:
+    overrides = _parse_overrides(args)
     x1, x2 = _load_views(args)
     if args.normalize:
         x1, x2 = bench.normalize_rows(x1)[0], bench.normalize_rows(x2)[0]
@@ -127,7 +120,7 @@ def _cmd_loss(args: argparse.Namespace) -> int:
     # Metadata rows map onto batch rows by first appearance order; rows
     # past the last annotated exam (all of them without --metadata) are
     # unlabeled.
-    summaries = _read_summaries(args) if args.metadata is not None else []
+    summaries = _read_summaries(args, overrides) if args.metadata is not None else []
     if len(summaries) > batch.n:
         raise cio.FileFormatError(
             f"{len(summaries)} exams but the batch has only {batch.n} rows", args.metadata
@@ -199,27 +192,26 @@ def _cmd_eval_detect(args: argparse.Namespace) -> int:
         )
     if args.threshold is not None and args.dynamic:
         raise ValueError("give --threshold or --dynamic, not both")
-    fixed_t = 0.5 if args.threshold is None else args.threshold
+    # Every setting is checked before the first file is read.
+    detection.check_tau(args.tau)
+    fixed_t = detection.check_threshold(0.5 if args.threshold is None else args.threshold)
     dynamic = None
     if args.dynamic:
         dynamic = detection.DynamicThresholdParams(
             args.t_start, args.t_min, args.step, args.max_candidates, args.min_voxels
         )
-    results = []
-    for idx, (prob_path, ref_path) in enumerate(zip(args.prob, args.ref)):
-        volume = detection.ProbVolume(cio.read_volume(prob_path))
-        mask = detection.BinaryMask(cio.read_mask(ref_path))
-        results.append(
-            detection.evaluate_exam(
-                f"exam-{idx:04d}",
-                volume,
-                mask,
-                tau=args.tau,
-                connectivity=args.connectivity,
-                threshold=None if args.dynamic else fixed_t,
-                dynamic=dynamic,
-            )
+    results = [
+        detection.evaluate_exam(
+            f"exam-{idx:04d}",
+            cio.read_volume(prob_path),
+            cio.read_mask(ref_path),
+            tau=args.tau,
+            connectivity=args.connectivity,
+            threshold=None if args.dynamic else fixed_t,
+            dynamic=dynamic,
         )
+        for idx, (prob_path, ref_path) in enumerate(zip(args.prob, args.ref))
+    ]
     outcomes = [r.outcome for r in results]
     n_ref = sum(o.n_reference for o in outcomes)
     n_pool = sum(
@@ -295,8 +287,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         config = bench.default_config()
     if args.seed is not None:
         config = dataclasses.replace(config, seed=args.seed)
-    variants = args.variants.split(",") if args.variants else None
-    seeds = [int(s) for s in args.seeds.split(",")] if args.seeds else None
+    variants = _list_option(args.variants, "--variants", str)
+    seeds = _list_option(args.seeds, "--seeds", int)
     report = bench.run_study(config, variants, seeds, args.workers)
     _print_json(report.as_dict(), args.out)
     if args.cells_csv is not None:
@@ -304,6 +296,17 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     if args.summary_csv is not None:
         _write_summary_csv(args.summary_csv, report)
     return 1 if any(r.error is not None for r in report.records) else 0
+
+
+def _list_option(value: str | None, flag: str, cast) -> list | None:
+    """A comma-separated option's entries through cast, or None if it was not
+    given; an empty list or entry is an error, not a request for the default."""
+    if value is None:
+        return None
+    entries = value.split(",")
+    if "" in entries:
+        raise ValueError(f"{flag} {value!r} has an empty entry")
+    return [cast(e) for e in entries]
 
 
 def _write_cells_csv(path: str, report: bench.StudyReport) -> None:

@@ -9,7 +9,8 @@ intersection read from a sparse candidate x reference contingency table.
 Exam and lesion level ROC AUC plus a dataset-pooled average precision
 follow the matched outcomes; missed references enter the lesion pool as
 zero-score positives.  Only the public adapters that return
-``Component`` objects build voxel sets.
+``Component`` objects build voxel sets.  ``ProbVolume`` and ``BinaryMask``
+come from ``confcl.io``, which checks each once, when built or read.
 """
 
 from __future__ import annotations
@@ -21,6 +22,8 @@ from typing import NamedTuple
 import numpy as np
 from scipy import ndimage
 
+from .io import BinaryMask, ProbVolume
+
 __all__ = [
     "ProbVolume",
     "BinaryMask",
@@ -31,6 +34,8 @@ __all__ = [
     "DetectionOutcome",
     "ExamResult",
     "DynamicThresholdParams",
+    "check_threshold",
+    "check_tau",
     "threshold_volume",
     "dynamic_threshold",
     "connected_components",
@@ -48,41 +53,6 @@ CONNECTIVITIES = (6, 18, 26)
 # volume, so a tiny step would run for hours (or never reach t_min in
 # floating point).  The default search visits 11.
 MAX_THRESHOLDS = 1000
-
-
-@dataclass(frozen=True)
-class _Grid:
-    data: np.ndarray
-
-    @property
-    def dims(self) -> tuple[int, int, int]:
-        return self.data.shape  # type: ignore[return-value]
-
-
-@dataclass(frozen=True)
-class ProbVolume(_Grid):
-    """Lesion probabilities on an (X, Y, Z) grid, every voxel in [0, 1]."""
-
-    def __post_init__(self) -> None:
-        d = np.asarray(self.data, dtype=np.float64)
-        if d.ndim != 3:
-            raise ValueError(f"volume must be 3D, got shape {d.shape}")
-        if not np.isfinite(d).all() or d.min() < 0.0 or d.max() > 1.0:
-            raise ValueError("volume voxels must be finite and lie in [0, 1]")
-        object.__setattr__(self, "data", d)
-
-
-@dataclass(frozen=True)
-class BinaryMask(_Grid):
-    """A {0, 1} voxel mask on an (X, Y, Z) grid."""
-
-    def __post_init__(self) -> None:
-        d = np.asarray(self.data)
-        if d.ndim != 3:
-            raise ValueError(f"mask must be 3D, got shape {d.shape}")
-        if d.dtype != np.bool_ and not np.isin(d, (0, 1)).all():
-            raise ValueError("mask voxels must be 0 or 1")
-        object.__setattr__(self, "data", d.astype(bool, copy=False))
 
 
 @dataclass(frozen=True)
@@ -174,6 +144,20 @@ class DynamicThresholdParams:
 # ---------------------------------------------------------------------------
 
 
+def check_threshold(t: float) -> float:
+    """t, if it is a threshold in [0, 1]; else ValueError."""
+    if not (0.0 <= t <= 1.0):
+        raise ValueError(f"threshold {t} outside [0, 1]")
+    return t
+
+
+def check_tau(tau: float) -> float:
+    """tau, if it is an IoU bound in [0, 1); else ValueError."""
+    if not (0.0 <= tau < 1.0):
+        raise ValueError(f"tau {tau} outside [0, 1)")
+    return tau
+
+
 class _Labels(NamedTuple):
     """Foreground voxels as flat indices counted x fastest (the VOL1/MSK1
     file order, so index order is (z, y, x) order), the component of each
@@ -224,9 +208,7 @@ def _components(labels: _Labels, dims: tuple[int, int, int]) -> tuple[Component,
 
 def threshold_volume(volume: ProbVolume, t: float) -> BinaryMask:
     """Mark voxels strictly greater than t; a voxel equal to t stays background."""
-    if not (0.0 <= t <= 1.0):
-        raise ValueError(f"threshold {t} outside [0, 1]")
-    return BinaryMask(volume.data > t)
+    return BinaryMask(volume.data > check_threshold(t))
 
 
 def connected_components(mask: BinaryMask, connectivity: int = 26) -> tuple[Component, ...]:
@@ -236,7 +218,7 @@ def connected_components(mask: BinaryMask, connectivity: int = 26) -> tuple[Comp
     per component, ties broken by the lexicographically smallest voxel
     in (z, y, x) order.
     """
-    return _components(_label(mask.data, connectivity), mask.dims)
+    return _components(_label(mask.data, connectivity), mask.data.shape)
 
 
 def dynamic_threshold(
@@ -273,10 +255,10 @@ def lesion_candidates(
     volume: ProbVolume, mask: BinaryMask, connectivity: int = 26
 ) -> tuple[LesionCandidate, ...]:
     """Score each mask component by its peak probability in the volume."""
-    if volume.dims != mask.dims:
-        raise ValueError(f"volume dims {volume.dims} != mask dims {mask.dims}")
+    if volume.data.shape != mask.data.shape:
+        raise ValueError(f"volume dims {volume.data.shape} != mask dims {mask.data.shape}")
     labels = _label(mask.data, connectivity)
-    return tuple(map(LesionCandidate, _components(labels, mask.dims), _peaks(volume, labels)))
+    return tuple(map(LesionCandidate, _components(labels, mask.data.shape), _peaks(volume, labels)))
 
 
 def _match(cand: _Labels, probs, cand_ids, ref: _Labels, ref_ids, tau: float) -> DetectionOutcome:
@@ -284,9 +266,7 @@ def _match(cand: _Labels, probs, cand_ids, ref: _Labels, ref_ids, tau: float) ->
 
     Candidates (scored by ``probs``, named by ``cand_ids``) may overlap;
     reference voxels must be distinct and sorted."""
-    if not (0.0 <= tau < 1.0):
-        raise ValueError(f"tau {tau} outside [0, 1)")
-    p, q = tau.as_integer_ratio()
+    p, q = check_tau(tau).as_integer_ratio()
     at = np.searchsorted(ref.index, cand.index)
     hit = at < ref.index.size
     hit[hit] = ref.index[at[hit]] == cand.index[hit]
@@ -360,8 +340,8 @@ def evaluate_exam(
 
     Exactly one of ``threshold`` (fixed) or ``dynamic`` must be given.
     """
-    if volume.dims != reference.dims:
-        raise ValueError(f"volume dims {volume.dims} != reference dims {reference.dims}")
+    if volume.data.shape != reference.data.shape:
+        raise ValueError(f"volume dims {volume.data.shape} != reference dims {reference.data.shape}")
     if (threshold is None) == (dynamic is None):
         raise ValueError("give exactly one of threshold= or dynamic=")
     if threshold is not None:

@@ -5,6 +5,9 @@ text formats are UTF-8 with LF newlines and comma separators.  Numeric
 CSV cells use 17 significant digits so 64-bit values round-trip exactly.
 All writers go through a temp-file-plus-rename so readers never observe
 a partial file, and the renamed file gets the mode the umask allows.
+``ProbVolume`` and ``BinaryMask`` alone state what VOL1 and MSK1 files hold:
+writers build one before writing and readers return one, so each writer
+refuses what its reader rejects.
 """
 
 from __future__ import annotations
@@ -18,9 +21,11 @@ import struct
 import tempfile
 from collections.abc import Iterable, Sequence
 from contextlib import contextmanager
+from dataclasses import dataclass
 
 import numpy as np
 
+from .losses import ViewPairBatch
 from .metadata import AnnotationError, AnnotationVector, RawAnnotation, Source, binarize
 
 __all__ = [
@@ -35,6 +40,8 @@ __all__ = [
     "read_matrix_csv",
     "write_embeddings",
     "read_embeddings",
+    "ProbVolume",
+    "BinaryMask",
     "write_volume",
     "read_volume",
     "write_mask",
@@ -255,11 +262,12 @@ def _read_container(
 
 
 def write_embeddings(path: str, x1: np.ndarray, x2: np.ndarray) -> None:
-    """Two aligned (N, D) float64 views: EMB1 magic, N, D, view 1, view 2."""
-    a = np.ascontiguousarray(x1, dtype="<f8")
-    b = np.ascontiguousarray(x2, dtype="<f8")
-    if a.ndim != 2 or a.shape != b.shape:
-        raise ValueError(f"views must share an (N, D) shape, got {a.shape} and {b.shape}")
+    """Two aligned (N, D) float64 views: EMB1 magic, N, D, view 1, view 2.
+
+    The views must make a ViewPairBatch (N, D >= 1, every value finite),
+    so the writer refuses what read_embeddings rejects."""
+    batch = ViewPairBatch(x1, x2)
+    a, b = (np.ascontiguousarray(x, dtype="<f8") for x in (batch.x1, batch.x2))
     _write_container(path, EMB_MAGIC, a.shape, a.tobytes(order="C"), b.tobytes(order="C"))
 
 
@@ -273,38 +281,64 @@ def read_embeddings(path: str) -> tuple[np.ndarray, np.ndarray]:
     return x1, x2
 
 
+@dataclass(frozen=True)
+class ProbVolume:
+    """Lesion probabilities on an (X, Y, Z) grid, every voxel in [0, 1]."""
+
+    data: np.ndarray
+
+    def __post_init__(self) -> None:
+        d = np.asarray(self.data, dtype=np.float64)
+        if d.ndim != 3:
+            raise ValueError(f"volume must be 3D, got shape {d.shape}")
+        # min and max propagate NaN, so this also rejects NaN and +-inf.
+        if not (d.min() >= 0.0 and d.max() <= 1.0):
+            raise ValueError("volume voxels must be finite and lie in [0, 1]")
+        object.__setattr__(self, "data", d)
+
+
+@dataclass(frozen=True)
+class BinaryMask:
+    """A {0, 1} voxel mask on an (X, Y, Z) grid."""
+
+    data: np.ndarray
+
+    def __post_init__(self) -> None:
+        d = np.asarray(self.data)
+        if d.ndim != 3:
+            raise ValueError(f"mask must be 3D, got shape {d.shape}")
+        if d.dtype != np.bool_ and not ((d == 0) | (d == 1)).all():
+            raise ValueError("mask voxels must be 0 or 1")
+        object.__setattr__(self, "data", d.astype(bool, copy=False))
+
+
+def _read_grid(path: str, cls, magic: bytes, dtype: str):
+    """A VOL1 or MSK1 file as cls, whose ValueError becomes a FileFormatError."""
+    dims, payload = _read_container(path, magic, 3, np.dtype(dtype).itemsize)
+    try:
+        return cls(np.frombuffer(payload, dtype=dtype).reshape(dims, order="F"))
+    except ValueError as exc:
+        raise FileFormatError(str(exc), path) from None
+
+
 def write_volume(path: str, data: np.ndarray) -> None:
     """(X, Y, Z) float32 grid, x-fastest: VOL1 magic, dims, voxels."""
-    v = np.asarray(data, dtype=np.float64)
-    if v.ndim != 3:
-        raise ValueError(f"volume must be 3D, got shape {v.shape}")
+    v = ProbVolume(data).data
     _write_container(path, VOL_MAGIC, v.shape, v.astype("<f4").tobytes(order="F"))
 
 
-def read_volume(path: str) -> np.ndarray:
-    dims, payload = _read_container(path, VOL_MAGIC, 3, 4)
-    data = np.frombuffer(payload, dtype="<f4").reshape(dims, order="F").astype(np.float64)
-    if not np.isfinite(data).all() or data.min() < 0.0 or data.max() > 1.0:
-        raise FileFormatError("voxels must be finite and lie in [0, 1]", path)
-    return data
+def read_volume(path: str) -> ProbVolume:
+    return _read_grid(path, ProbVolume, VOL_MAGIC, "<f4")
 
 
 def write_mask(path: str, data: np.ndarray) -> None:
     """(X, Y, Z) 8-bit {0, 1} grid, x-fastest: MSK1 magic, dims, voxels."""
-    m = np.asarray(data)
-    if m.ndim != 3:
-        raise ValueError(f"mask must be 3D, got shape {m.shape}")
-    if m.dtype != np.bool_ and not np.isin(m, (0, 1)).all():
-        raise ValueError("mask voxels must be 0 or 1")
+    m = BinaryMask(data).data
     _write_container(path, MSK_MAGIC, m.shape, m.astype(np.uint8).tobytes(order="F"))
 
 
-def read_mask(path: str) -> np.ndarray:
-    dims, payload = _read_container(path, MSK_MAGIC, 3, 1)
-    data = np.frombuffer(payload, dtype=np.uint8).reshape(dims, order="F")
-    if not np.isin(data, (0, 1)).all():
-        raise FileFormatError("mask voxels must be 0 or 1", path)
-    return data.astype(bool)
+def read_mask(path: str) -> BinaryMask:
+    return _read_grid(path, BinaryMask, MSK_MAGIC, "u1")
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,7 @@ __all__ = [
     "KernelVariant",
     "KernelMatrix",
     "binarize",
+    "check_epsilon",
     "confidence",
     "summarize",
     "summarize_batch",
@@ -187,6 +188,13 @@ def binarize(source: Source, value: int) -> int | None:
     raise AnnotationError(f"unknown source {source!r}")
 
 
+def check_epsilon(epsilon: float, name: str = "epsilon") -> float:
+    """epsilon, if it is a single-vote confidence in (0, 1]; else AnnotationError."""
+    if not (0.0 < epsilon <= 1.0):
+        raise AnnotationError(f"{name} {epsilon} outside (0, 1]")
+    return epsilon
+
+
 def confidence(votes: tuple[int, ...] | list[int], epsilon: float = DEFAULT_EPSILON) -> float:
     """Majority-vote confidence of a nonempty binary vote vector.
 
@@ -198,8 +206,7 @@ def confidence(votes: tuple[int, ...] | list[int], epsilon: float = DEFAULT_EPSI
     n = len(votes)
     if n == 0:
         raise AnnotationError("confidence of an empty vote vector is undefined")
-    if not (0.0 < epsilon <= 1.0):
-        raise AnnotationError(f"epsilon {epsilon} outside (0, 1]")
+    check_epsilon(epsilon)
     if n == 1:
         return epsilon
     ones = sum(1 for v in votes if v == 1)

@@ -462,6 +462,28 @@ def test_train_diverges_on_enormous_learning_rate():
         assert err.breakdown is not None
 
 
+def test_train_diverges_on_non_finite_embeddings():
+    # At this rate the first update overflows the parameters, so the next
+    # forward pass yields non-finite embeddings before any loss is taken.
+    # The overflow warns; the test expects that warning instead of letting
+    # the suite-wide filter turn it into an error.
+    cfg = SynthConfig(
+        n_exams=32,
+        epochs=3,
+        batch_size=8,
+        learning_rate=1e308,
+        normalize_embeddings=False,
+        variant="unsupervised",
+        frac_unlabeled=1.0,
+    )
+    exams = generate_dataset(cfg, seed=0)
+    with pytest.warns(RuntimeWarning), pytest.raises(TrainingDivergedError) as info:
+        train(cfg, exams, np.random.default_rng(0))
+    assert (info.value.epoch, info.value.batch_index) == (0, 1)
+    assert info.value.breakdown is None
+    assert str(info.value) == "non-finite embeddings at epoch 0, batch 1"
+
+
 def test_train_unlabeled_data_makes_variant_irrelevant():
     # Without any annotations every variant degenerates to the same loss.
     cfg = _small_config(frac_unlabeled=1.0)

@@ -97,6 +97,34 @@ def test_kernel_epsilon_override_flag(capsys, tmp_path, metadata_csv):
     assert got[0, 1] == 0.2
 
 
+@pytest.mark.parametrize("command", ["kernel", "loss"])
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--epsilon", "7"], "--epsilon 7.0 outside (0, 1]"),
+        (["--epsilon", "0"], "--epsilon 0.0 outside (0, 1]"),
+        (["--epsilon=nan"], "--epsilon nan outside (0, 1]"),
+        (["--epsilon-override", "b=7"], "--epsilon-override b 7.0 outside (0, 1]"),
+        (["--epsilon-override", "d=nan"], "--epsilon-override d nan outside (0, 1]"),
+        (["--epsilon-override", "zz=-1"], "--epsilon-override zz -1.0 outside (0, 1]"),
+        (["--epsilon-override", "b"], "bad --epsilon-override 'b'; expected EXAM_ID=VALUE"),
+    ],
+)
+def test_epsilon_options_are_checked_before_reading(capsys, tmp_path, command, flags, message):
+    # Each value is checked whether or not an exam would use it (zz names
+    # no exam); every input path is missing, so a read would fail first.
+    missing = str(tmp_path / "missing.csv")
+    out = tmp_path / "out"
+    inputs = ["--x1", missing, "--x2", missing] if command == "loss" else []
+    code, stdout, stderr = _run(
+        capsys, [command, *inputs, "--metadata", missing, *flags, "--out", str(out)]
+    )
+    assert code == 1
+    assert stdout == ""
+    assert json.loads(stderr)["message"] == message
+    assert not out.exists()
+
+
 def test_kernel_rerun_is_byte_identical(capsys, tmp_path, metadata_csv):
     out = tmp_path / "kernel.csv"
     assert _run(capsys, ["kernel", "--metadata", metadata_csv, "--out", str(out)])[0] == 0
@@ -431,6 +459,26 @@ def test_eval_detect_rejects_an_unbounded_step_before_reading(capsys, tmp_path):
     assert "would visit more than 1000 thresholds" in err["message"]
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--tau", "1.5"], "tau 1.5 outside [0, 1)"),
+        (["--tau", "1"], "tau 1.0 outside [0, 1)"),
+        (["--tau=nan"], "tau nan outside [0, 1)"),
+        (["--threshold", "1.5"], "threshold 1.5 outside [0, 1]"),
+        (["--threshold=nan"], "threshold nan outside [0, 1]"),
+        (["--threshold=-0.1"], "threshold -0.1 outside [0, 1]"),
+    ],
+)
+def test_eval_detect_rejects_a_bad_tau_or_threshold_before_reading(capsys, tmp_path, flags, message):
+    missing = str(tmp_path / "missing.vol")  # the setting fails first, not the read
+    code, _, stderr = _run(capsys, ["eval-detect", "--prob", missing, "--ref", missing, *flags])
+    assert code == 1
+    err = json.loads(stderr)
+    assert err["error"] == "ValueError"
+    assert err["message"] == message
+
+
 def test_eval_detect_mismatched_file_counts(capsys, tmp_path):
     vol, mask = _detection_fixture(tmp_path)
     code, _, stderr = _run(
@@ -633,6 +681,28 @@ def test_simulate_rejects_invalid_json(capsys, tmp_path):
     err = json.loads(stderr)
     assert err["error"] == "FileFormatError"
     assert err["line"] == 1
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--variants", ""], "--variants '' has an empty entry"),
+        (["--seeds", ""], "--seeds '' has an empty entry"),
+        (["--variants", "proposed,"], "--variants 'proposed,' has an empty entry"),
+        (["--seeds", "0,,1"], "--seeds '0,,1' has an empty entry"),
+    ],
+)
+def test_simulate_rejects_an_empty_list(capsys, tmp_path, flags, message):
+    # An explicit empty list is an error, not a request for the 6 x 10 default.
+    cfg = _tiny_config(tmp_path)
+    out = tmp_path / "report.json"
+    code, stdout, stderr = _run(
+        capsys, ["simulate", "--config", cfg, *flags, "--workers", "1", "--out", str(out)]
+    )
+    assert code == 1
+    assert stdout == ""
+    assert json.loads(stderr)["message"] == message
+    assert not out.exists()
 
 
 def test_simulate_unknown_variant(capsys, tmp_path):

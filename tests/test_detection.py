@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from confcl import detection
+from confcl import io as cio
 from confcl.detection import (
     BinaryMask,
     Component,
@@ -194,8 +195,18 @@ def test_prob_volume_validation():
         ProbVolume(np.zeros((2, 2)))
     with pytest.raises(ValueError):
         ProbVolume(np.full((1, 1, 1), 1.5))
+    for bad in (np.nan, np.inf, -np.inf, -1e-300):
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            ProbVolume(np.array([0.5, bad]).reshape(2, 1, 1))
     with pytest.raises(ValueError):
         BinaryMask(np.full((1, 1, 1), 2))
+    with pytest.raises(ValueError, match="3D"):
+        BinaryMask(np.zeros((2, 2), dtype=bool))
+
+
+def test_grid_types_are_the_io_types():
+    assert ProbVolume is cio.ProbVolume
+    assert BinaryMask is cio.BinaryMask
 
 
 # ---------------------------------------------------------------------------
@@ -354,8 +365,11 @@ def test_candidate_probability_is_component_peak():
 
 def test_candidates_reject_dim_mismatch():
     v = ProbVolume(np.zeros((2, 2, 2)))
+    m = BinaryMask(np.zeros((2, 2, 1), dtype=bool))
     with pytest.raises(ValueError):
-        lesion_candidates(v, BinaryMask(np.zeros((2, 2, 1), dtype=bool)))
+        lesion_candidates(v, m)
+    with pytest.raises(ValueError, match=r"\(2, 2, 2\) != reference dims \(2, 2, 1\)"):
+        evaluate_exam("e", v, m, threshold=0.5)
 
 
 def test_match_identical_candidate_is_tp_with_full_overlap():

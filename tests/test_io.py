@@ -15,7 +15,9 @@ from confcl.io import (
     EMB_MAGIC,
     MSK_MAGIC,
     VOL_MAGIC,
+    BinaryMask,
     FileFormatError,
+    ProbVolume,
     atomic_write,
     fmt_float,
     group_annotations,
@@ -267,6 +269,22 @@ def test_embeddings_read_errors(tmp_path):
         read_embeddings(str(path))
 
 
+@pytest.mark.parametrize(
+    "x1, x2, message",
+    [
+        (np.zeros((2, 2)), np.zeros((2, 3)), "share an"),
+        (np.zeros((0, 2)), np.zeros((0, 2)), "N >= 1"),
+        (np.array([[0.0, np.nan]]), np.zeros((1, 2)), "finite"),
+        (np.zeros((1, 2)), np.array([[np.inf, 0.0]]), "finite"),
+    ],
+    ids=["shape mismatch", "zero rows", "nan", "inf"],
+)
+def test_embeddings_writer_refuses_what_the_reader_rejects(tmp_path, x1, x2, message):
+    with pytest.raises(ValueError, match=message):
+        write_embeddings(str(tmp_path / "e.bin"), x1, x2)
+    assert os.listdir(tmp_path) == []
+
+
 # ---------------------------------------------------------------------------
 # Binary volumes and masks
 # ---------------------------------------------------------------------------
@@ -278,7 +296,7 @@ def test_volume_round_trip(tmp_path):
     v = rng.uniform(0, 1, (3, 4, 2)).astype(np.float32).astype(np.float64)
     path = str(tmp_path / "v.bin")
     write_volume(path, v)
-    assert np.array_equal(read_volume(path), v)
+    assert np.array_equal(read_volume(path).data, v)
 
 
 def test_volume_byte_layout_is_x_fastest(tmp_path):
@@ -308,24 +326,56 @@ def test_volume_read_errors(tmp_path):
         read_volume(str(path))
 
 
+@pytest.mark.parametrize("value", [1.5, -0.25, np.nan, np.inf, -np.inf])
+def test_volume_content_rules_hold_on_write_and_read(tmp_path, value):
+    # The ProbVolume rule refuses the write (leaving no file) and, on a
+    # hand-packed file, fails the read with the file's name.
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        write_volume(str(tmp_path / "w.vol"), np.full((1, 1, 2), value))
+    assert os.listdir(tmp_path) == []
+    path = tmp_path / "r.vol"
+    path.write_bytes(VOL_MAGIC + struct.pack("<iii", 2, 1, 1) + struct.pack("<2f", 0.5, value))
+    with pytest.raises(FileFormatError, match=r"\[0, 1\]") as info:
+        read_volume(str(path))
+    assert info.value.file == str(path)
+
+
+def test_readers_return_the_grid_types(tmp_path):
+    vol, msk = str(tmp_path / "v.vol"), str(tmp_path / "m.msk")
+    write_volume(vol, np.full((2, 1, 1), 0.5))
+    write_mask(msk, np.ones((2, 1, 1), dtype=np.uint8))
+    volume, mask = read_volume(vol), read_mask(msk)
+    assert type(volume) is ProbVolume and volume.data.dtype == np.float64
+    assert type(mask) is BinaryMask and mask.data.dtype == np.bool_
+    for bad in (np.zeros((2, 2)), np.zeros((1, 1, 1, 1))):
+        with pytest.raises(ValueError, match="3D"):
+            write_volume(str(tmp_path / "bad.vol"), bad)
+        with pytest.raises(ValueError, match="3D"):
+            write_mask(str(tmp_path / "bad.msk"), bad)
+    assert sorted(os.listdir(tmp_path)) == ["m.msk", "v.vol"]
+
+
 def test_mask_round_trip_and_layout(tmp_path):
     m = np.zeros((2, 1, 2), dtype=bool)
     m[0, 0, 0] = True
     m[1, 0, 1] = True
     path = str(tmp_path / "m.bin")
     write_mask(path, m)
-    assert np.array_equal(read_mask(path), m)
+    assert np.array_equal(read_mask(path).data, m)
     want = MSK_MAGIC + struct.pack("<iii", 2, 1, 2) + bytes([1, 0, 0, 1])
     assert open(path, "rb").read() == want
 
 
 def test_mask_rejects_non_binary_values(tmp_path):
-    with pytest.raises(ValueError):
-        write_mask(str(tmp_path / "m.bin"), np.full((1, 1, 1), 3))
+    for bad in (3, 0.5, -1, np.nan):
+        with pytest.raises(ValueError):
+            write_mask(str(tmp_path / "m.bin"), np.full((1, 1, 1), bad))
+    assert os.listdir(tmp_path) == []
     path = tmp_path / "m.bin"
     path.write_bytes(MSK_MAGIC + struct.pack("<iii", 1, 1, 1) + bytes([2]))
-    with pytest.raises(FileFormatError, match="0 or 1"):
+    with pytest.raises(FileFormatError, match="0 or 1") as info:
         read_mask(str(path))
+    assert info.value.file == str(path)
 
 
 BIG = 2**31 - 1
@@ -370,7 +420,7 @@ def test_container_readers_accept_the_valid_file(tmp_path, reader):
     path = tmp_path / "ok.bin"
     path.write_bytes(_container(magic, dims, payload))
     arrays = reader(str(path))
-    for array in arrays if reader is read_embeddings else [arrays]:
+    for array in arrays if reader is read_embeddings else [arrays.data]:
         assert array.shape == dims
 
 

@@ -240,6 +240,8 @@ def test_conditional_all_ones_kernel_is_degenerate():
 
 def test_conditional_rejects_malformed_kernels():
     batch = ViewPairBatch(np.zeros((2, 2)), np.ones((2, 2)))
+    with pytest.raises(ValueError, match="square"):
+        KernelMatrix(np.ones((2, 3)))
     with pytest.raises(ValueError, match="shape"):
         loss_conditional(batch, KernelMatrix(np.eye(3)))
     with pytest.raises(ValueError, match="diagonal"):
