@@ -14,6 +14,7 @@ from __future__ import annotations
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import expit
@@ -24,7 +25,7 @@ from .losses import (
     LossBreakdown,
     ViewPairBatch,
     _decoupled_groups,
-    _distance_loss,
+    _evaluate,
     _gradient,
     pairwise_distances,
     partition_batch,
@@ -34,6 +35,7 @@ from .metadata import (
     AnnotationVector,
     KernelVariant,
     Source,
+    check_epsilon,
     kernel_matrix,
     summarize,
 )
@@ -46,8 +48,9 @@ __all__ = [
     "TrainingDivergedError",
     "AnnotatorParams",
     "SynthConfig",
-    "SynthExam",
+    "SynthDataset",
     "VariantSpec",
+    "StudyCell",
     "Encoder",
     "normalize_rows",
     "CellRecord",
@@ -55,6 +58,7 @@ __all__ = [
     "default_config",
     "config_from_dict",
     "generate_dataset",
+    "study_cell",
     "simulate_annotators",
     "augment",
     "train",
@@ -145,8 +149,7 @@ class SynthConfig:
             raise ValueError("learning_rate must be >= 0")
         if not (0.0 <= self.momentum < 1.0):
             raise ValueError("momentum outside [0, 1)")
-        if not (0.0 < self.epsilon <= 1.0):
-            raise ValueError("epsilon outside (0, 1]")
+        check_epsilon(self.epsilon)
 
     def as_dict(self) -> dict:
         return asdict(self)
@@ -171,12 +174,13 @@ def config_from_dict(raw: dict) -> SynthConfig:
     return SynthConfig(**data)
 
 
-@dataclass(frozen=True)
-class SynthExam:
-    exam_id: str
+class SynthDataset(NamedTuple):
+    """N exams in exam order: (N, input_dim) features, (N,) true labels and
+    each exam's annotations."""
+
     features: np.ndarray
-    true_label: int
-    annotation: AnnotationVector
+    labels: np.ndarray
+    annotations: tuple[AnnotationVector, ...]
 
 
 @dataclass(frozen=True)
@@ -234,24 +238,24 @@ def simulate_annotators(
     )
 
 
-def generate_dataset(config: SynthConfig, seed: int) -> list[SynthExam]:
-    """Balanced two-class Gaussian exams with simulated annotations.
+def generate_dataset(config: SynthConfig, seed: int) -> SynthDataset:
+    """Balanced two-class Gaussian exams ``exam-{i:05d}`` of label i % 2, annotated.
 
     Class means sit at +/- class_separation/2 along the first feature
     axis.  Deterministic for a fixed (config, seed).
     """
     rng = np.random.default_rng(seed)
-    exams: list[SynthExam] = []
+    features = np.empty((config.n_exams, config.input_dim))
+    annotations = []
     for i in range(config.n_exams):
         label = i % 2
         mean = np.zeros(config.input_dim)
         mean[0] = (0.5 if label == 1 else -0.5) * config.class_separation
-        features = mean + rng.normal(0.0, config.noise_sigma, config.input_dim)
-        annotation = simulate_annotators(
-            f"exam-{i:05d}", label, config.annotator, rng, config.frac_unlabeled
+        features[i] = mean + rng.normal(0.0, config.noise_sigma, config.input_dim)
+        annotations.append(
+            simulate_annotators(f"exam-{i:05d}", label, config.annotator, rng, config.frac_unlabeled)
         )
-        exams.append(SynthExam(f"exam-{i:05d}", features, label, annotation))
-    return exams
+    return SynthDataset(features, np.arange(config.n_exams) % 2, tuple(annotations))
 
 
 def augment(features: np.ndarray, sigma: float, rng: np.random.Generator) -> np.ndarray:
@@ -348,11 +352,6 @@ def variant_spec(name: str) -> VariantSpec:
         ) from None
 
 
-def _summaries_for(exams: list[SynthExam], config: SynthConfig, spec: VariantSpec):
-    epsilon = spec.epsilon if spec.epsilon is not None else config.epsilon
-    return [summarize(e.annotation, epsilon) for e in exams]
-
-
 def batch_loss_inputs(summaries, spec: VariantSpec):
     """Partition a batch's summaries and build the labeled-block kernel."""
     if spec.kernel is None:
@@ -362,18 +361,45 @@ def batch_loss_inputs(summaries, spec: VariantSpec):
     return partition, kernel_matrix(labeled, spec.kernel) if labeled else None
 
 
+class StudyCell(NamedTuple):
+    """A dataset and one variant's labeled block, built once: ``block_row[i]``
+    is exam i's row in the block's kernel ``weights``, or -1 if unlabeled."""
+
+    dataset: SynthDataset
+    spec: VariantSpec
+    block_row: np.ndarray
+    weights: np.ndarray | None
+
+    def groups(self, idx: np.ndarray) -> list:
+        """The decoupled loss groups of the exams idx, as a batch in that order."""
+        rows = self.block_row[idx]
+        labeled = rows >= 0
+        block = rows[labeled]
+        w = self.weights[block[:, None], block] if len(block) else None
+        return _decoupled_groups(
+            np.flatnonzero(labeled), np.flatnonzero(~labeled), w, self.spec.global_uniformity
+        )
+
+
+def study_cell(config: SynthConfig, dataset: SynthDataset, variant: str | None) -> StudyCell:
+    """The cell of variant (None: config.variant), summarized with its epsilon, else the config's."""
+    spec = variant_spec(variant if variant is not None else config.variant)
+    epsilon = spec.epsilon if spec.epsilon is not None else config.epsilon
+    summaries = [summarize(a, epsilon) for a in dataset.annotations]
+    partition, kernel = batch_loss_inputs(summaries, spec)
+    block_row = np.full(len(dataset.labels), -1)
+    block_row[list(partition.labeled)] = np.arange(len(partition.labeled))
+    return StudyCell(dataset, spec, block_row, kernel.weights if kernel else None)
+
+
 def train(
-    config: SynthConfig,
-    exams: list[SynthExam],
-    rng: np.random.Generator,
-    spec: VariantSpec | None = None,
+    config: SynthConfig, cell: StudyCell, rng: np.random.Generator
 ) -> tuple[Encoder, list[float]]:
-    """SGD on the decoupled loss over augmented view pairs.
+    """SGD on the cell's decoupled loss over augmented view pairs.
 
     Returns the trained encoder and per-epoch mean batch losses.  Raises
     TrainingDivergedError on the first non-finite embedding, loss or gradient.
     """
-    spec = spec if spec is not None else variant_spec(config.variant)
     encoder = Encoder.init(
         config.input_dim,
         config.hidden_dim,
@@ -381,12 +407,7 @@ def train(
         config.normalize_embeddings,
         rng,
     )
-    features = np.stack([e.features for e in exams]) if exams else np.zeros((0, config.input_dim))
-    # Validated once per cell; block_row is an exam's row in all_kernel, or -1.
-    all_partition, all_kernel = batch_loss_inputs(_summaries_for(exams, config, spec), spec)
-    n = len(exams)
-    block_row = np.full(n, -1)
-    block_row[list(all_partition.labeled)] = np.arange(len(all_partition.labeled))
+    n = len(cell.block_row)
     velocity = {k: np.zeros_like(v) for k, v in encoder.params().items()}
     epoch_losses: list[float] = []
     for epoch in range(config.epochs):
@@ -394,7 +415,7 @@ def train(
         batch_losses: list[float] = []
         for batch_index, start in enumerate(range(0, n, config.batch_size)):
             idx = order[start : start + config.batch_size]
-            feats = features[idx]
+            feats = cell.dataset.features[idx]
             v1 = augment(feats, config.aug_sigma, rng)
             v2 = augment(feats, config.aug_sigma, rng)
             e1, cache1 = encoder.forward(v1)
@@ -403,14 +424,7 @@ def train(
                 batch = ViewPairBatch(e1, e2)
             except ValueError as exc:  # the views' shapes match, so only non-finite values fail
                 raise TrainingDivergedError(epoch, batch_index, None) from exc
-            rows = block_row[idx]
-            labeled = rows >= 0
-            block = rows[labeled]
-            w = all_kernel.weights[block[:, None], block] if len(block) else None
-            groups = _decoupled_groups(
-                np.flatnonzero(labeled), np.flatnonzero(~labeled), w, spec.global_uniformity
-            )
-            grads = _gradient(batch, groups)
+            grads = _gradient(batch, cell.groups(idx))
             breakdown = grads.breakdown
             if not (
                 np.isfinite(breakdown.total)
@@ -537,13 +551,9 @@ class StudyReport:
 
 
 def _evaluate_cell(
-    config: SynthConfig,
-    spec: VariantSpec,
-    encoder: Encoder,
-    exams: list[SynthExam],
-    eval_rng: np.random.Generator,
+    config: SynthConfig, cell: StudyCell, encoder: Encoder, eval_rng: np.random.Generator
 ) -> tuple[float, float, LossBreakdown]:
-    features = np.stack([e.features for e in exams])
+    features = cell.dataset.features
     v1 = augment(features, config.aug_sigma, eval_rng)
     v2 = augment(features, config.aug_sigma, eval_rng)
     batch = ViewPairBatch(encoder.encode(v1), encoder.encode(v2))
@@ -551,30 +561,25 @@ def _evaluate_cell(
     align = float(np.trace(d) / batch.n)
     off = ~np.eye(batch.n, dtype=bool)
     unif = float(np.log(np.exp(-d[off]).mean())) if batch.n >= 2 else 0.0
-    partition, kernel = batch_loss_inputs(_summaries_for(exams, config, spec), spec)
-    # The decoupled loss reads the same distance matrix as the diagnostics.
-    breakdown = _distance_loss("decoupled", d, partition, kernel, spec.global_uniformity)
+    # The decoupled loss over every exam reads the diagnostics' distance matrix.
+    breakdown = _evaluate(d, cell.groups(np.arange(batch.n)))[0]
     return align, unif, breakdown
 
 
 def _run_cell(config: SynthConfig, variant: str, seed: int) -> CellRecord:
     try:
-        spec = variant_spec(variant)
         # Per-cell streams keyed on the variant's registry position and the
         # seed value, not on list positions, so a cell's record is the same
         # in any study that runs it; datasets depend on the seed only, so
         # every variant sees the same exams for a given seed.
         cell_ss = np.random.SeedSequence((config.seed, list(STUDY_VARIANTS).index(variant), seed))
         train_ss, eval_ss, probe_ss = cell_ss.spawn(3)
-        exams = generate_dataset(config, seed)
-        encoder, epoch_losses = train(config, exams, np.random.default_rng(train_ss), spec)
-        align, unif, breakdown = _evaluate_cell(
-            config, spec, encoder, exams, np.random.default_rng(eval_ss)
-        )
-        embeddings = encoder.encode(np.stack([e.features for e in exams]))
-        labels = np.array([e.true_label for e in exams])
+        dataset = generate_dataset(config, seed)
+        cell = study_cell(config, dataset, variant)
+        encoder, epoch_losses = train(config, cell, np.random.default_rng(train_ss))
+        align, unif, breakdown = _evaluate_cell(config, cell, encoder, np.random.default_rng(eval_ss))
         probe_seed = int(probe_ss.generate_state(1)[0])
-        acc, auc = linear_probe(embeddings, labels, probe_seed)
+        acc, auc = linear_probe(encoder.encode(dataset.features), dataset.labels, probe_seed)
         return CellRecord(
             variant=variant,
             seed=seed,
@@ -598,10 +603,6 @@ def _usable_cpus() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
-
-
-def _cell_args(config, variants, seeds):
-    return [(config, variant, seed) for variant in variants for seed in seeds]
 
 
 def run_study(
@@ -632,7 +633,7 @@ def run_study(
         variant_spec(v)
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    args = _cell_args(config, variants, seeds)
+    args = [(config, variant, seed) for variant in variants for seed in seeds]
     workers = min(workers, len(args), _usable_cpus())
     if workers <= 1:
         records = [_run_cell(*a) for a in args]

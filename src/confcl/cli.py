@@ -102,20 +102,23 @@ def _cmd_kernel(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_views(args: argparse.Namespace) -> tuple[np.ndarray, np.ndarray]:
+def _load_views(args: argparse.Namespace) -> losses.ViewPairBatch:
     if args.embeddings is not None:
+        if args.x1 is not None or args.x2 is not None:
+            raise ValueError("give --embeddings or --x1 and --x2, not both")
         return cio.read_embeddings(args.embeddings)
     if args.x1 is None or args.x2 is None:
         raise ValueError("give --embeddings or both --x1 and --x2")
-    return cio.read_matrix_csv(args.x1), cio.read_matrix_csv(args.x2)
+    return losses.ViewPairBatch(cio.read_matrix_csv(args.x1), cio.read_matrix_csv(args.x2))
 
 
 def _cmd_loss(args: argparse.Namespace) -> int:
     overrides = _parse_overrides(args)
-    x1, x2 = _load_views(args)
+    batch = _load_views(args)
     if args.normalize:
-        x1, x2 = bench.normalize_rows(x1)[0], bench.normalize_rows(x2)[0]
-    batch = losses.ViewPairBatch(x1, x2)
+        batch = losses.ViewPairBatch(
+            bench.normalize_rows(batch.x1)[0], bench.normalize_rows(batch.x2)[0]
+        )
     spec = bench.variant_spec(args.variant)
     # Metadata rows map onto batch rows by first appearance order; rows
     # past the last annotated exam (all of them without --metadata) are
@@ -200,18 +203,19 @@ def _cmd_eval_detect(args: argparse.Namespace) -> int:
         dynamic = detection.DynamicThresholdParams(
             args.t_start, args.t_min, args.step, args.max_candidates, args.min_voxels
         )
-    results = [
-        detection.evaluate_exam(
-            f"exam-{idx:04d}",
-            cio.read_volume(prob_path),
-            cio.read_mask(ref_path),
-            tau=args.tau,
-            connectivity=args.connectivity,
-            threshold=None if args.dynamic else fixed_t,
-            dynamic=dynamic,
-        )
-        for idx, (prob_path, ref_path) in enumerate(zip(args.prob, args.ref))
-    ]
+    settings = dict(
+        tau=args.tau,
+        connectivity=args.connectivity,
+        threshold=None if args.dynamic else fixed_t,
+        dynamic=dynamic,
+    )
+    results = []
+    for idx, (prob_path, ref_path) in enumerate(zip(args.prob, args.ref)):
+        volume, reference = cio.read_volume(prob_path), cio.read_mask(ref_path)
+        try:
+            results.append(detection.evaluate_exam(f"exam-{idx:04d}", volume, reference, **settings))
+        except ValueError as exc:  # a shape mismatch: say which pair
+            raise ValueError(f"--prob {prob_path} with --ref {ref_path}: {exc}") from None
     outcomes = [r.outcome for r in results]
     n_ref = sum(o.n_reference for o in outcomes)
     n_pool = sum(

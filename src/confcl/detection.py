@@ -341,7 +341,9 @@ def evaluate_exam(
     Exactly one of ``threshold`` (fixed) or ``dynamic`` must be given.
     """
     if volume.data.shape != reference.data.shape:
-        raise ValueError(f"volume dims {volume.data.shape} != reference dims {reference.data.shape}")
+        raise ValueError(
+            f"{exam_id}: volume dims {volume.data.shape} != reference dims {reference.data.shape}"
+        )
     if (threshold is None) == (dynamic is None):
         raise ValueError("give exactly one of threshold= or dynamic=")
     if threshold is not None:

@@ -261,6 +261,14 @@ def _read_container(
         return dims, _read_exact(handle, count, path, "payload")
 
 
+def _build(path: str, cls, *arrays: np.ndarray):
+    """cls(*arrays) read from path, whose ValueError becomes a FileFormatError."""
+    try:
+        return cls(*arrays)
+    except ValueError as exc:
+        raise FileFormatError(str(exc), path) from None
+
+
 def write_embeddings(path: str, x1: np.ndarray, x2: np.ndarray) -> None:
     """Two aligned (N, D) float64 views: EMB1 magic, N, D, view 1, view 2.
 
@@ -271,14 +279,11 @@ def write_embeddings(path: str, x1: np.ndarray, x2: np.ndarray) -> None:
     _write_container(path, EMB_MAGIC, a.shape, a.tobytes(order="C"), b.tobytes(order="C"))
 
 
-def read_embeddings(path: str) -> tuple[np.ndarray, np.ndarray]:
-    (n, d), payload = _read_container(path, EMB_MAGIC, 2, 2 * 8)
-    flat = np.frombuffer(payload, dtype="<f8")
-    x1 = flat[: n * d].reshape(n, d).astype(np.float64)
-    x2 = flat[n * d :].reshape(n, d).astype(np.float64)
-    if not (np.isfinite(x1).all() and np.isfinite(x2).all()):
-        raise FileFormatError("non-finite embedding values", path)
-    return x1, x2
+def read_embeddings(path: str) -> ViewPairBatch:
+    """An EMB1 file as a ViewPairBatch; its checks name the file on failure."""
+    dims, payload = _read_container(path, EMB_MAGIC, 2, 2 * 8)
+    views = np.frombuffer(payload, dtype="<f8").reshape(2, *dims)
+    return _build(path, ViewPairBatch, views[0], views[1])
 
 
 @dataclass(frozen=True)
@@ -313,12 +318,9 @@ class BinaryMask:
 
 
 def _read_grid(path: str, cls, magic: bytes, dtype: str):
-    """A VOL1 or MSK1 file as cls, whose ValueError becomes a FileFormatError."""
+    """A VOL1 or MSK1 file as cls."""
     dims, payload = _read_container(path, magic, 3, np.dtype(dtype).itemsize)
-    try:
-        return cls(np.frombuffer(payload, dtype=dtype).reshape(dims, order="F"))
-    except ValueError as exc:
-        raise FileFormatError(str(exc), path) from None
+    return _build(path, cls, np.frombuffer(payload, dtype=dtype).reshape(dims, order="F"))
 
 
 def write_volume(path: str, data: np.ndarray) -> None:

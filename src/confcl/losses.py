@@ -29,9 +29,10 @@ a single distance build.  The analytic gradients are checked against
 central finite differences.
 
 The public functions validate their arguments (partition cover, kernel
-shape) before building groups; the private ``_decoupled_groups`` and
-``_gradient`` trust theirs, so training validates a dataset's partition
-and kernel once per cell and feeds each step's slices straight in.
+shape) before building groups; the private ``_decoupled_groups``,
+``_evaluate`` and ``_gradient`` trust theirs, so a study cell validates
+its dataset's partition and kernel once, and both its training steps and
+its final evaluation feed their slices straight in.
 """
 
 from __future__ import annotations
@@ -321,18 +322,8 @@ def evaluate_loss(
     global_uniformity: bool = False,
 ) -> LossBreakdown:
     """Loss breakdown of the named variant; see LOSS_KINDS."""
-    return _distance_loss(kind, pairwise_distances(batch), partition, kernel, global_uniformity)
-
-
-def _distance_loss(
-    kind: str,
-    d: np.ndarray,
-    partition: BatchPartition | None,
-    kernel: KernelMatrix | None,
-    global_uniformity: bool,
-) -> LossBreakdown:
-    """evaluate_loss over a distance matrix the caller already built."""
-    return _evaluate(d, _groups(kind, len(d), partition, kernel, global_uniformity))[0]
+    d = pairwise_distances(batch)
+    return _evaluate(d, _groups(kind, batch.n, partition, kernel, global_uniformity))[0]
 
 
 def loss_nce(batch: ViewPairBatch) -> LossBreakdown:

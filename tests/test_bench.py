@@ -24,11 +24,19 @@ from confcl.bench import (
     linear_probe,
     run_study,
     simulate_annotators,
+    study_cell,
     train,
     variant_spec,
 )
-from confcl.losses import BatchPartition, ViewPairBatch, loss_decoupled, loss_gradient
+from confcl.losses import (
+    BatchPartition,
+    ViewPairBatch,
+    loss_decoupled,
+    loss_gradient,
+    pairwise_distances,
+)
 from confcl.metadata import (
+    AnnotationError,
     KernelMatrix,
     KernelVariant,
     MetadataSummary,
@@ -118,6 +126,12 @@ def test_config_validation(kwargs):
         SynthConfig(**kwargs)
 
 
+def test_config_epsilon_follows_the_metadata_rule():
+    for bad in (0.0, 1.5, float("nan")):
+        with pytest.raises(AnnotationError, match=rf"^epsilon {bad} outside \(0, 1\]$"):
+            SynthConfig(epsilon=bad)
+
+
 def test_config_allows_zero_learning_rate():
     assert SynthConfig(learning_rate=0.0).learning_rate == 0.0
 
@@ -148,28 +162,26 @@ def test_generate_dataset_deterministic():
     cfg = SynthConfig(n_exams=16)
     a = generate_dataset(cfg, seed=3)
     b = generate_dataset(cfg, seed=3)
-    assert len(a) == len(b) == 16
-    for ea, eb in zip(a, b):
-        assert ea.exam_id == eb.exam_id
-        assert ea.true_label == eb.true_label
-        assert np.array_equal(ea.features, eb.features)
-        assert ea.annotation == eb.annotation
+    assert a.features.shape == b.features.shape == (16, cfg.input_dim)
+    assert len(a.labels) == len(b.labels) == len(a.annotations) == len(b.annotations) == 16
+    assert np.array_equal(a.labels, b.labels)
+    assert np.array_equal(a.features, b.features)
+    assert a.annotations == b.annotations
 
 
 def test_generate_dataset_different_seeds_differ():
     cfg = SynthConfig(n_exams=16)
     a = generate_dataset(cfg, seed=0)
     b = generate_dataset(cfg, seed=1)
-    assert not np.array_equal(a[0].features, b[0].features)
+    assert not np.array_equal(a.features[0], b.features[0])
 
 
 def test_generate_dataset_balanced_alternating_labels():
     cfg = SynthConfig(n_exams=10)
-    exams = generate_dataset(cfg, seed=0)
-    labels = [e.true_label for e in exams]
-    assert labels == [0, 1] * 5
-    assert exams[0].exam_id == "exam-00000"
-    assert exams[9].exam_id == "exam-00009"
+    data = generate_dataset(cfg, seed=0)
+    assert data.labels.tolist() == [0, 1] * 5
+    assert data.annotations[0].exam_id == "exam-00000"
+    assert data.annotations[9].exam_id == "exam-00009"
 
 
 def test_generate_dataset_noise_free_class_means():
@@ -180,13 +192,15 @@ def test_generate_dataset_noise_free_class_means():
         class_separation=4.0,
         frac_unlabeled=0.0,
     )
-    exams = generate_dataset(cfg, seed=0)
-    assert np.array_equal(exams[0].features, [-2.0, 0.0, 0.0])
-    assert np.array_equal(exams[1].features, [2.0, 0.0, 0.0])
+    data = generate_dataset(cfg, seed=0)
+    assert np.array_equal(data.features[0], [-2.0, 0.0, 0.0])
+    assert np.array_equal(data.features[1], [2.0, 0.0, 0.0])
 
 
 def test_generate_dataset_empty():
-    assert generate_dataset(SynthConfig(n_exams=0), seed=0) == []
+    data = generate_dataset(SynthConfig(n_exams=0), seed=0)
+    assert data.features.shape == (0, SynthConfig().input_dim)
+    assert len(data.labels) == 0 and data.annotations == ()
 
 
 def test_generate_dataset_clean_votes_match_labels():
@@ -195,9 +209,10 @@ def test_generate_dataset_clean_votes_match_labels():
         annotator=AnnotatorParams(3, 3, 0.0, 0.0),
         frac_unlabeled=0.0,
     )
-    for exam in generate_dataset(cfg, seed=5):
-        assert exam.annotation.votes == (exam.true_label,) * 3
-        assert all(s is Source.PIRADS for s in exam.annotation.sources)
+    data = generate_dataset(cfg, seed=5)
+    for label, annotation in zip(data.labels, data.annotations, strict=True):
+        assert annotation.votes == (label,) * 3
+        assert all(s is Source.PIRADS for s in annotation.sources)
 
 
 def test_clean_votes_give_unit_confidence_and_label_equality_kernel():
@@ -207,11 +222,11 @@ def test_clean_votes_give_unit_confidence_and_label_equality_kernel():
         annotator=AnnotatorParams(3, 3, 0.0, 0.0),
         frac_unlabeled=0.0,
     )
-    exams = generate_dataset(cfg, seed=2)
-    summaries = summarize_batch([e.annotation for e in exams])
-    labels = np.array([e.true_label for e in exams])
-    for s, e in zip(summaries, exams):
-        assert s.label == e.true_label
+    data = generate_dataset(cfg, seed=2)
+    summaries = summarize_batch(list(data.annotations))
+    labels = data.labels
+    for s, label in zip(summaries, labels, strict=True):
+        assert s.label == label
         assert s.confidence == 1.0
     agreement = (labels[:, None] == labels[None, :]).astype(np.float64)
     # Unit confidences saturate the min rule; the flat-weight variants
@@ -390,8 +405,8 @@ def _small_config(**overrides):
 
 def test_train_zero_learning_rate_leaves_parameters_unchanged():
     cfg = SynthConfig(n_exams=32, epochs=2, learning_rate=0.0, variant="proposed")
-    exams = generate_dataset(cfg, seed=1)
-    encoder, losses = train(cfg, exams, np.random.default_rng(2))
+    cell = study_cell(cfg, generate_dataset(cfg, seed=1), None)
+    encoder, losses = train(cfg, cell, np.random.default_rng(2))
     init = Encoder.init(
         cfg.input_dim,
         cfg.hidden_dim,
@@ -406,9 +421,9 @@ def test_train_zero_learning_rate_leaves_parameters_unchanged():
 
 def test_train_deterministic():
     cfg = _small_config()
-    exams = generate_dataset(cfg, seed=0)
-    enc_a, losses_a = train(cfg, exams, np.random.default_rng(4))
-    enc_b, losses_b = train(cfg, exams, np.random.default_rng(4))
+    cell = study_cell(cfg, generate_dataset(cfg, seed=0), None)
+    enc_a, losses_a = train(cfg, cell, np.random.default_rng(4))
+    enc_b, losses_b = train(cfg, cell, np.random.default_rng(4))
     assert losses_a == losses_b
     for key in enc_a.params():
         assert np.array_equal(enc_a.params()[key], enc_b.params()[key])
@@ -416,16 +431,16 @@ def test_train_deterministic():
 
 def test_train_loss_decreases_over_two_epochs():
     cfg = SynthConfig(epochs=2, variant="unsupervised")
-    exams = generate_dataset(cfg, seed=0)
-    _, losses = train(cfg, exams, np.random.default_rng(7))
+    cell = study_cell(cfg, generate_dataset(cfg, seed=0), None)
+    _, losses = train(cfg, cell, np.random.default_rng(7))
     assert len(losses) == 2
     assert losses[1] <= losses[0]
 
 
 def test_train_zero_epochs_returns_initial_encoder():
     cfg = _small_config(epochs=0)
-    exams = generate_dataset(cfg, seed=0)
-    encoder, losses = train(cfg, exams, np.random.default_rng(9))
+    cell = study_cell(cfg, generate_dataset(cfg, seed=0), None)
+    encoder, losses = train(cfg, cell, np.random.default_rng(9))
     init = Encoder.init(4, 6, 3, True, np.random.default_rng(9))
     assert losses == []
     for key, val in encoder.params().items():
@@ -434,9 +449,11 @@ def test_train_zero_epochs_returns_initial_encoder():
 
 def test_train_default_spec_comes_from_config():
     cfg = _small_config(variant="unsupervised")
-    exams = generate_dataset(cfg, seed=0)
-    _, losses_a = train(cfg, exams, np.random.default_rng(1))
-    _, losses_b = train(cfg, exams, np.random.default_rng(1), variant_spec("unsupervised"))
+    data = generate_dataset(cfg, seed=0)
+    default = study_cell(cfg, data, None)
+    assert default.spec == variant_spec("unsupervised")
+    _, losses_a = train(cfg, default, np.random.default_rng(1))
+    _, losses_b = train(cfg, study_cell(cfg, data, "unsupervised"), np.random.default_rng(1))
     assert losses_a == losses_b
 
 
@@ -451,11 +468,11 @@ def test_train_diverges_on_enormous_learning_rate():
         variant="unsupervised",
         frac_unlabeled=1.0,
     )
-    exams = generate_dataset(cfg, seed=0)
+    cell = study_cell(cfg, generate_dataset(cfg, seed=0), None)
     with pytest.raises(TrainingDivergedError, match="epoch 0"):
-        train(cfg, exams, np.random.default_rng(0))
+        train(cfg, cell, np.random.default_rng(0))
     try:
-        train(cfg, exams, np.random.default_rng(0))
+        train(cfg, cell, np.random.default_rng(0))
     except TrainingDivergedError as err:
         assert err.epoch == 0
         assert err.batch_index == 1
@@ -476,9 +493,9 @@ def test_train_diverges_on_non_finite_embeddings():
         variant="unsupervised",
         frac_unlabeled=1.0,
     )
-    exams = generate_dataset(cfg, seed=0)
+    cell = study_cell(cfg, generate_dataset(cfg, seed=0), None)
     with pytest.warns(RuntimeWarning), pytest.raises(TrainingDivergedError) as info:
-        train(cfg, exams, np.random.default_rng(0))
+        train(cfg, cell, np.random.default_rng(0))
     assert (info.value.epoch, info.value.batch_index) == (0, 1)
     assert info.value.breakdown is None
     assert str(info.value) == "non-finite embeddings at epoch 0, batch 1"
@@ -487,31 +504,31 @@ def test_train_diverges_on_non_finite_embeddings():
 def test_train_unlabeled_data_makes_variant_irrelevant():
     # Without any annotations every variant degenerates to the same loss.
     cfg = _small_config(frac_unlabeled=1.0)
-    exams = generate_dataset(cfg, seed=0)
+    data = generate_dataset(cfg, seed=0)
     curves = [
-        train(cfg, exams, np.random.default_rng(5), variant_spec(name))[1]
+        train(cfg, study_cell(cfg, data, name), np.random.default_rng(5))[1]
         for name in STUDY_VARIANTS
     ]
     for curve in curves[1:]:
         assert curve == curves[0]
 
 
-def _reference_train(config, exams, rng, spec):
+def _reference_train(config, data, rng, spec):
     """train by the public per-batch definition: each batch's partition and
     kernel come from batch_loss_inputs over its own summaries, and its loss
     and gradient from loss_gradient.  Also returns the (|A|, |U|) sizes seen."""
     encoder = Encoder.init(
         config.input_dim, config.hidden_dim, config.embed_dim, config.normalize_embeddings, rng
     )
-    features = np.stack([e.features for e in exams])
+    features = data.features
     epsilon = spec.epsilon if spec.epsilon is not None else config.epsilon
-    summaries = [summarize(e.annotation, epsilon) for e in exams]
+    summaries = [summarize(a, epsilon) for a in data.annotations]
     velocity = {k: np.zeros_like(v) for k, v in encoder.params().items()}
     epoch_losses, sizes = [], set()
     for _ in range(config.epochs):
-        order = rng.permutation(len(exams))
+        order = rng.permutation(len(features))
         batch_losses = []
-        for start in range(0, len(exams), config.batch_size):
+        for start in range(0, len(features), config.batch_size):
             idx = order[start : start + config.batch_size]
             v1 = augment(features[idx], config.aug_sigma, rng)
             v2 = augment(features[idx], config.aug_sigma, rng)
@@ -538,10 +555,10 @@ def _reference_train(config, exams, rng, spec):
 def test_train_equals_public_per_batch_definition(variant):
     # Batches of 3 plus a final batch of 1 give |A| and |U| of 0 and 1.
     cfg = _small_config(n_exams=25, batch_size=3, frac_unlabeled=0.5, momentum=0.5, epochs=2)
-    exams = generate_dataset(cfg, seed=3)
+    data = generate_dataset(cfg, seed=3)
+    encoder, epoch_losses = train(cfg, study_cell(cfg, data, variant), np.random.default_rng(11))
     spec = variant_spec(variant)
-    encoder, epoch_losses = train(cfg, exams, np.random.default_rng(11), spec)
-    ref, ref_losses, sizes = _reference_train(cfg, exams, np.random.default_rng(11), spec)
+    ref, ref_losses, sizes = _reference_train(cfg, data, np.random.default_rng(11), spec)
     assert epoch_losses == ref_losses
     for key, val in encoder.params().items():
         assert np.array_equal(val, ref.params()[key])
@@ -549,31 +566,74 @@ def test_train_equals_public_per_batch_definition(variant):
         assert {0, 1} <= {a for a, _ in sizes} and {0, 1} <= {u for _, u in sizes}
 
 
+def _counting(counts, name, fn):
+    """fn, adding one to counts[name] per call."""
+
+    def wrapper(*args, **kwargs):
+        counts[name] += 1
+        return fn(*args, **kwargs)
+
+    return wrapper
+
+
 def test_train_validates_loss_inputs_once_per_cell_not_per_step(monkeypatch):
     counts = Counter()
-
-    def counting(name, fn):
-        def wrapper(*args, **kwargs):
-            counts[name] += 1
-            return fn(*args, **kwargs)
-
-        return wrapper
-
     for cls in (KernelMatrix, BatchPartition):
-        monkeypatch.setattr(cls, "__post_init__", counting(cls.__name__, cls.__post_init__))
-    monkeypatch.setattr(np, "ix_", counting("np.ix_", np.ix_))
+        monkeypatch.setattr(cls, "__post_init__", _counting(counts, cls.__name__, cls.__post_init__))
+    monkeypatch.setattr(np, "ix_", _counting(counts, "np.ix_", np.ix_))
 
     def constructions(variant, epochs):
         cfg = _small_config(epochs=epochs, frac_unlabeled=0.3)
-        exams = generate_dataset(cfg, seed=0)
+        data = generate_dataset(cfg, seed=0)
         counts.clear()
-        train(cfg, exams, np.random.default_rng(3), variant_spec(variant))
+        train(cfg, study_cell(cfg, data, variant), np.random.default_rng(3))
         return dict(counts)
 
     for variant in STUDY_VARIANTS:
         once = constructions(variant, 1)
         assert once["BatchPartition"] == 1
         assert constructions(variant, 3) == once
+
+
+@pytest.mark.parametrize("variant", sorted(STUDY_VARIANTS))
+def test_eval_cell_equals_public_loss_over_the_whole_dataset(variant):
+    # The eval slices the cell's labeled block the way training steps do;
+    # the validating public loss over all exams must agree bitwise.
+    import confcl.bench as bench
+
+    cfg = _small_config(n_exams=40, epochs=1)
+    data = generate_dataset(cfg, seed=2)
+    cell = study_cell(cfg, data, variant)
+    encoder, _ = train(cfg, cell, np.random.default_rng(0))
+    align, unif, breakdown = bench._evaluate_cell(cfg, cell, encoder, np.random.default_rng(1))
+    rng = np.random.default_rng(1)
+    v1 = augment(data.features, cfg.aug_sigma, rng)
+    v2 = augment(data.features, cfg.aug_sigma, rng)
+    batch = ViewPairBatch(encoder.encode(v1), encoder.encode(v2))
+    spec = variant_spec(variant)
+    epsilon = spec.epsilon if spec.epsilon is not None else cfg.epsilon
+    partition, kernel = batch_loss_inputs([summarize(a, epsilon) for a in data.annotations], spec)
+    assert breakdown == loss_decoupled(batch, partition, kernel, spec.global_uniformity)
+    assert align == float(np.trace(pairwise_distances(batch)) / batch.n)
+    if variant == "proposed":
+        assert breakdown.n_labeled > 1 and breakdown.n_unlabeled > 1
+
+
+def test_run_cell_summarizes_each_exam_once_and_builds_one_block(monkeypatch):
+    import confcl.bench as bench
+
+    counts = Counter()
+    # Looked up through the bench module, where the perfbench tracer binds them.
+    for name in ("summarize", "batch_loss_inputs", "generate_dataset", "train"):
+        monkeypatch.setattr(bench, name, _counting(counts, name, getattr(bench, name)))
+    cfg = _small_config()
+    assert bench._run_cell(cfg, "proposed", 0).error is None
+    assert counts == {
+        "summarize": cfg.n_exams,
+        "batch_loss_inputs": 1,
+        "generate_dataset": 1,
+        "train": 1,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -781,10 +841,10 @@ def test_run_study_isolates_cell_failures(monkeypatch):
 
     real_train = bench.train
 
-    def sabotaged(config, exams, rng, spec=None):
-        if spec is not None and spec.name == "majority":
+    def sabotaged(config, cell, rng):
+        if cell.spec.name == "majority":
             raise RuntimeError("boom")
-        return real_train(config, exams, rng, spec)
+        return real_train(config, cell, rng)
 
     monkeypatch.setattr(bench, "train", sabotaged)
     report = bench.run_study(
@@ -804,7 +864,7 @@ def test_run_study_isolates_cell_failures(monkeypatch):
 def test_run_study_lets_programming_errors_escape(monkeypatch):
     import confcl.bench as bench
 
-    def sabotaged(config, exams, rng, spec=None):
+    def sabotaged(config, cell, rng):
         raise TypeError("not a cell failure")
 
     monkeypatch.setattr(bench, "train", sabotaged)

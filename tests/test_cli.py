@@ -304,6 +304,18 @@ def test_loss_requires_both_view_files(capsys, tmp_path):
     assert "both --x1 and --x2" in json.loads(stderr)["message"]
 
 
+@pytest.mark.parametrize("csv_flags", [["--x1"], ["--x2"], ["--x1", "--x2"]])
+def test_loss_refuses_embeddings_with_view_csvs(capsys, tmp_path, csv_flags):
+    # Four EMB1 rows against three CSV rows: neither source may win silently.
+    _, _, p1, _ = _write_views(tmp_path)
+    packed = tmp_path / "views.emb"
+    cio.write_embeddings(str(packed), np.zeros((4, 2)), np.ones((4, 2)))
+    inputs = [arg for flag in csv_flags for arg in (flag, p1)]
+    code, stdout, stderr = _run(capsys, ["loss", "--embeddings", str(packed), *inputs])
+    assert (code, stdout) == (1, "")
+    assert json.loads(stderr)["message"] == "give --embeddings or --x1 and --x2, not both"
+
+
 # ---------------------------------------------------------------------------
 # gradcheck
 
@@ -488,6 +500,20 @@ def test_eval_detect_mismatched_file_counts(capsys, tmp_path):
     assert "2 --prob files but 1 --ref files" in json.loads(stderr)["message"]
 
 
+def test_eval_detect_names_the_pair_with_mismatched_dims(capsys, tmp_path):
+    vol, mask = _detection_fixture(tmp_path)
+    other = tmp_path / "exam1.msk"
+    cio.write_mask(str(other), np.zeros((4, 4, 3), dtype=np.uint8))
+    args = ["eval-detect", "--prob", vol, "--ref", mask, "--prob", vol, "--ref", str(other)]
+    code, stdout, stderr = _run(capsys, args)
+    assert (code, stdout) == (1, "")
+    assert json.loads(stderr) == {
+        "error": "ValueError",
+        "message": f"--prob {vol} with --ref {other}: "
+        "exam-0001: volume dims (4, 4, 2) != reference dims (4, 4, 3)",
+    }
+
+
 def test_eval_detect_malformed_volume(capsys, tmp_path):
     _, mask = _detection_fixture(tmp_path)
     bad = tmp_path / "bad.vol"
@@ -662,7 +688,9 @@ def test_simulate_rejects_unknown_config_field(capsys, tmp_path):
     assert "learning_rte" in err["message"]
 
 
-@pytest.mark.parametrize("body", ['{"epochs": 2.5}', '{"n_exams": 40.0}', '{"seed": -1}'])
+@pytest.mark.parametrize(
+    "body", ['{"epochs": 2.5}', '{"n_exams": 40.0}', '{"seed": -1}', '{"epsilon": 0}', '{"epsilon": NaN}']
+)
 def test_simulate_rejects_a_bad_config_value(capsys, tmp_path, body):
     path = tmp_path / "config.json"
     path.write_text(body, encoding="utf-8")

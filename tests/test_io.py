@@ -233,8 +233,8 @@ def test_embeddings_round_trip_bitwise(tmp_path):
     x2 = rng.normal(0, 1, (6, 3))
     path = str(tmp_path / "e.bin")
     write_embeddings(path, x1, x2)
-    r1, r2 = read_embeddings(path)
-    assert np.array_equal(r1, x1) and np.array_equal(r2, x2)
+    batch = read_embeddings(path)
+    assert np.array_equal(batch.x1, x1) and np.array_equal(batch.x2, x2)
 
 
 def test_embeddings_byte_layout(tmp_path):
@@ -265,8 +265,9 @@ def test_embeddings_read_errors(tmp_path):
     path.write_bytes(
         EMB_MAGIC + struct.pack("<ii", 1, 1) + struct.pack("<2d", np.nan, 0)
     )
-    with pytest.raises(FileFormatError, match="non-finite"):
+    with pytest.raises(FileFormatError, match="embeddings must be finite") as info:
         read_embeddings(str(path))
+    assert info.value.file == str(path)
 
 
 @pytest.mark.parametrize(
@@ -419,8 +420,8 @@ def test_container_readers_accept_the_valid_file(tmp_path, reader):
     magic, dims, payload = CONTAINERS[reader]
     path = tmp_path / "ok.bin"
     path.write_bytes(_container(magic, dims, payload))
-    arrays = reader(str(path))
-    for array in arrays if reader is read_embeddings else [arrays.data]:
+    got = reader(str(path))
+    for array in (got.x1, got.x2) if reader is read_embeddings else [got.data]:
         assert array.shape == dims
 
 
