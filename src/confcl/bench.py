@@ -17,7 +17,6 @@ from dataclasses import asdict, dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import expit
 
 from .detection import roc_auc
 from .losses import (
@@ -93,6 +92,14 @@ def _require_ints(obj, names: tuple[str, ...]) -> None:
             raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
+def _require_floats(obj, names: tuple[str, ...]) -> None:
+    """Reject bools and non-numbers; each range check then also fails NaN and inf."""
+    for name in names:
+        value = getattr(obj, name)
+        if type(value) is bool or not isinstance(value, (int, float)):
+            raise ValueError(f"{name} must be a number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class AnnotatorParams:
     n_min: int = 1
@@ -102,6 +109,7 @@ class AnnotatorParams:
 
     def __post_init__(self) -> None:
         _require_ints(self, ("n_min", "n_max"))
+        _require_floats(self, ("p_flip", "p_abstain"))
         if not (1 <= self.n_min <= self.n_max <= 7):
             raise ValueError("need 1 <= n_min <= n_max <= 7")
         for name in ("p_flip", "p_abstain"):
@@ -134,21 +142,25 @@ class SynthConfig:
         _require_ints(
             self, ("n_exams", "input_dim", "hidden_dim", "embed_dim", "epochs", "batch_size", "seed")
         )
+        _require_floats(self, ("class_separation", "noise_sigma", "aug_sigma", "frac_unlabeled"))
+        _require_floats(self, ("learning_rate", "momentum", "epsilon"))
         if type(self.normalize_embeddings) is not bool:
             raise ValueError(f"normalize_embeddings must be a bool, got {self.normalize_embeddings!r}")
         for name in ("input_dim", "hidden_dim", "embed_dim", "batch_size"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
-        for name in ("n_exams", "epochs", "seed", "class_separation", "noise_sigma", "aug_sigma"):
+        for name in ("n_exams", "epochs", "seed"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
+        for name in ("class_separation", "noise_sigma", "aug_sigma", "learning_rate"):
+            value = getattr(self, name)
+            if not (0.0 <= value < np.inf):
+                raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
         if not (0.0 <= self.frac_unlabeled <= 1.0):
-            raise ValueError("frac_unlabeled outside [0, 1]")
+            raise ValueError(f"frac_unlabeled {self.frac_unlabeled} outside [0, 1]")
         variant_spec(self.variant)
-        if self.learning_rate < 0.0:
-            raise ValueError("learning_rate must be >= 0")
         if not (0.0 <= self.momentum < 1.0):
-            raise ValueError("momentum outside [0, 1)")
+            raise ValueError(f"momentum {self.momentum} outside [0, 1)")
         check_epsilon(self.epsilon)
 
     def as_dict(self) -> dict:
@@ -453,6 +465,8 @@ def linear_probe(
     accuracy and ROC AUC.  A split that strands one class on either side
     is redrawn once, then rejected.
     """
+    from scipy.special import expit  # here, not at import: the CLI starts without scipy
+
     x = np.asarray(embeddings, dtype=np.float64)
     y = np.asarray(labels)
     if x.ndim != 2 or len(x) != len(y):

@@ -83,18 +83,16 @@ def _read_summaries(
 
 def _cmd_kernel(args: argparse.Namespace) -> int:
     summaries = _read_summaries(args, _parse_overrides(args))
-    spec = bench.variant_spec(args.variant)
-    partition = losses.partition_batch(summaries, spec.kernel)
-    labeled = [summaries[i] for i in partition.labeled]
-    kernel = metadata.kernel_matrix(labeled, spec.kernel)
-    cio.write_matrix_csv(args.out, kernel.weights)
+    partition, kernel = bench.batch_loss_inputs(summaries, bench.variant_spec(args.variant))
+    weights = kernel.weights if kernel is not None else np.zeros((0, 0))
+    cio.write_matrix_csv(args.out, weights)
     _print_json(
         {
             "variant": args.variant,
             "epsilon": args.epsilon,
-            "labeled": [s.exam_id for s in labeled],
+            "labeled": [summaries[i].exam_id for i in partition.labeled],
             "unlabeled": [summaries[i].exam_id for i in partition.unlabeled],
-            "shape": list(kernel.weights.shape),
+            "shape": list(weights.shape),
             "out": args.out,
         },
         None,

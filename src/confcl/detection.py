@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy import ndimage
 
 from .io import BinaryMask, ProbVolume
 
@@ -176,6 +175,8 @@ def _label(mask_data: np.ndarray, connectivity: int) -> _Labels:
     """
     if connectivity not in CONNECTIVITIES:
         raise ValueError(f"connectivity must be one of {CONNECTIVITIES}, got {connectivity}")
+    from scipy import ndimage  # here, not at import: the CLI starts without scipy
+
     structure = ndimage.generate_binary_structure(3, CONNECTIVITIES.index(connectivity) + 1)
     labeled, n = ndimage.label(mask_data.T, structure)
     nx, ny, _ = mask_data.shape

@@ -57,7 +57,6 @@ __all__ = [
     "LossBreakdown",
     "GradientBatch",
     "pairwise_distances",
-    "loss_nce",
     "loss_conditional",
     "partition_batch",
     "loss_decoupled",
@@ -324,15 +323,6 @@ def evaluate_loss(
     """Loss breakdown of the named variant; see LOSS_KINDS."""
     d = pairwise_distances(batch)
     return _evaluate(d, _groups(kind, batch.n, partition, kernel, global_uniformity))[0]
-
-
-def loss_nce(batch: ViewPairBatch) -> LossBreakdown:
-    """Unconditional alignment plus log-mean-exp uniformity over all pairs.
-
-    total = (1/N) sum_i d_ii + log((1/N^2) sum_{i,j} exp(-d_ij)); the
-    uniformity sum runs over every (i, j) including i = j.
-    """
-    return evaluate_loss("nce", batch)
 
 
 def loss_conditional(batch: ViewPairBatch, kernel: KernelMatrix) -> LossBreakdown:

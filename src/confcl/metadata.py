@@ -31,7 +31,6 @@ __all__ = [
     "confidence",
     "summarize",
     "summarize_batch",
-    "pair_weight",
     "kernel_matrix",
 ]
 
@@ -250,51 +249,20 @@ def summarize_batch(
 # ---------------------------------------------------------------------------
 
 
-def pair_weight(
-    s_i: MetadataSummary,
-    s_j: MetadataSummary,
-    same_exam: bool,
-    variant: KernelVariant = KernelVariant.PROPOSED,
-) -> float:
-    """Kernel weight for one ordered pair of exam summaries.
-
-    Same-exam pairs weigh 1 regardless of metadata.  Across exams both
-    summaries must be labeled; pairs with different labels weigh 0, and
-    equal-label pairs weigh
-
-    - PROPOSED: min(c_i, c_j),
-    - HIGH_CONFIDENCE: 0.8 when both confidences are exactly 1, else 0,
-    - MAJORITY_VOTING: 0.8 flat.
-    """
-    if same_exam:
-        return 1.0
-    if not (s_i.is_labeled and s_j.is_labeled):
-        bad = s_i if not s_i.is_labeled else s_j
-        raise AnnotationError(
-            f"exam {bad.exam_id!r} is unlabeled; cross-exam weights need labels"
-        )
-    if s_i.label != s_j.label:
-        return 0.0
-    if variant is KernelVariant.PROPOSED:
-        return min(s_i.confidence, s_j.confidence)  # type: ignore[arg-type]
-    if variant is KernelVariant.HIGH_CONFIDENCE:
-        # Confidence is an exact integer ratio, so equality with 1 is sharp.
-        return COARSE_WEIGHT if s_i.confidence == 1.0 and s_j.confidence == 1.0 else 0.0
-    if variant is KernelVariant.MAJORITY_VOTING:
-        return COARSE_WEIGHT
-    raise ValueError(f"unknown kernel variant {variant!r}")
-
-
 def kernel_matrix(
     summaries: list[MetadataSummary],
     variant: KernelVariant = KernelVariant.PROPOSED,
 ) -> KernelMatrix:
     """Full pairwise weight matrix for a batch of labeled exams.
 
-    Entry (i, j) equals ``pair_weight`` with same_exam exactly on the
-    diagonal, so the result is symmetric with unit diagonal and entries
-    in [0, 1].  Built vectorized; ``pair_weight`` stays the single-pair
-    reference semantics.
+    The diagonal (two views of one exam) is 1.  Off the diagonal, pairs
+    with different labels weigh 0 and equal-label pairs weigh
+
+    - PROPOSED: min(c_i, c_j),
+    - HIGH_CONFIDENCE: 0.8 when both confidences are exactly 1, else 0,
+    - MAJORITY_VOTING: 0.8 flat,
+
+    so the result is symmetric with entries in [0, 1].
     """
     for s in summaries:
         if not s.is_labeled:

@@ -132,6 +132,20 @@ def test_config_epsilon_follows_the_metadata_rule():
             SynthConfig(epsilon=bad)
 
 
+@pytest.mark.parametrize("bad", [True, "0.5", float("nan"), float("inf"), float("-inf")], ids=repr)
+@pytest.mark.parametrize(
+    "make, name",
+    [(SynthConfig, f) for f in ("class_separation", "noise_sigma", "aug_sigma", "frac_unlabeled")]
+    + [(SynthConfig, f) for f in ("learning_rate", "momentum", "epsilon")]
+    + [(AnnotatorParams, f) for f in ("p_flip", "p_abstain")],
+)
+def test_float_fields_reject_bools_strings_and_non_finite_values(make, name, bad):
+    # True would pass every range check, a string fail them with a
+    # TypeError, and nan or inf pass the open-ended ones.
+    with pytest.raises(ValueError, match=rf"^{name} "):
+        make(**{name: bad})
+
+
 def test_config_allows_zero_learning_rate():
     assert SynthConfig(learning_rate=0.0).learning_rate == 0.0
 

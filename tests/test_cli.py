@@ -701,6 +701,20 @@ def test_simulate_rejects_a_bad_config_value(capsys, tmp_path, body):
     assert err["file"] == str(path)
 
 
+def test_simulate_rejects_a_bool_float_field_before_any_cell(capsys, tmp_path):
+    # True once passed the epsilon range check and was written into the report.
+    path = tmp_path / "config.json"
+    path.write_text('{"n_exams": 40, "epochs": 1, "epsilon": true}', encoding="utf-8")
+    out = tmp_path / "report.json"
+    code, stdout, stderr = _run(capsys, ["simulate", "--config", str(path), "--out", str(out)])
+    assert code == 1
+    assert stdout == ""
+    err = json.loads(stderr)
+    assert err["file"] == str(path)
+    assert "epsilon must be a number" in err["message"]
+    assert not out.exists()
+
+
 def test_simulate_rejects_invalid_json(capsys, tmp_path):
     path = tmp_path / "config.json"
     path.write_text("{", encoding="utf-8")

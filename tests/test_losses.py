@@ -25,7 +25,6 @@ from confcl.losses import (
     loss_conditional,
     loss_decoupled,
     loss_gradient,
-    loss_nce,
     max_relative_error,
     pairwise_distances,
     partition_batch,
@@ -161,13 +160,13 @@ def test_distances_match_double_loop():
 
 def test_nce_degenerate_single_zero_row_is_near_zero():
     batch = ViewPairBatch(np.zeros((1, 3)), np.zeros((1, 3)))
-    assert abs(loss_nce(batch).total) < 1e-6
+    assert abs(evaluate_loss("nce", batch).total) < 1e-6
 
 
 def test_nce_two_point_hand_value():
     # x views chosen so d = [[~0, 1], [1, ~0]].
     x = np.array([[0.0], [1.0]])
-    breakdown = loss_nce(ViewPairBatch(x, x))
+    breakdown = evaluate_loss("nce", ViewPairBatch(x, x))
     assert breakdown.align_unlabeled == pytest.approx(0.0, abs=1e-7)
     want_unif = math.log((2.0 + 2.0 * math.exp(-1.0)) / 4.0)
     assert breakdown.unif_unlabeled == pytest.approx(want_unif, rel=1e-7)
@@ -178,7 +177,7 @@ def test_nce_matches_loop_oracle():
     rng = np.random.default_rng(2)
     for _ in range(20):
         batch = _random_batch(rng)
-        breakdown = loss_nce(batch)
+        breakdown = evaluate_loss("nce", batch)
         align, unif = _nce_oracle(batch.x1, batch.x2)
         assert abs(breakdown.align_unlabeled - align) < 1e-10
         assert abs(breakdown.unif_unlabeled - unif) < 1e-10
@@ -390,7 +389,7 @@ def test_zero_alignment_weight_ignores_an_overflowed_distance():
     with np.errstate(over="ignore"):
         d = pairwise_distances(batch)
         assert np.isinf(d[2, 0]) and np.isinf(d[0, 2])
-        nce = loss_nce(batch)
+        nce = evaluate_loss("nce", batch)
         unlabeled = loss_decoupled(batch, BatchPartition((), (0, 1, 2)))
     assert nce.term(ALIGN_UNLABELED) == np.trace(d) / 3
     assert unlabeled.term(ALIGN_UNLABELED) == np.trace(d) / 3
@@ -432,7 +431,7 @@ def test_reduction_all_labeled_equals_conditional_exactly():
 
 
 def _all_losses(batch, partition, kernel):
-    out = [loss_nce(batch).total]
+    out = [evaluate_loss("nce", batch).total]
     if kernel is not None and kernel.n == batch.n:
         out.append(loss_conditional(batch, kernel).total)
     out.append(loss_decoupled(batch, partition, kernel).total)
@@ -538,7 +537,6 @@ def test_max_relative_error_floor_ignores_noise_on_true_zeros():
 
 def test_evaluate_loss_dispatch_and_errors():
     batch = ViewPairBatch(np.zeros((2, 2)), np.ones((2, 2)))
-    assert evaluate_loss("nce", batch).total == loss_nce(batch).total
     with pytest.raises(ValueError, match="kernel"):
         evaluate_loss("conditional", batch)
     with pytest.raises(ValueError, match="partition"):

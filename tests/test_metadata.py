@@ -3,7 +3,7 @@
 The confidence oracle below recomputes 2 * (majority/n - 1/2) by direct
 counting in exact rational arithmetic; the kernel tests compare the
 vectorized matrix builder against a brute-force double loop over
-pair_weight, which is the single-pair reference implementation.
+pair_weight below, a single-pair reference written branch by branch.
 """
 
 import itertools
@@ -24,7 +24,6 @@ from confcl.metadata import (
     binarize,
     confidence,
     kernel_matrix,
-    pair_weight,
     summarize,
     summarize_batch,
 )
@@ -37,6 +36,26 @@ def _confidence_by_counting(votes, epsilon):
         return epsilon
     count = max(votes.count(0), votes.count(1))
     return float(2 * (Fraction(count, n) - Fraction(1, 2)))
+
+
+def pair_weight(s_i, s_j, same_exam, variant=KernelVariant.PROPOSED):
+    """Single-pair oracle for kernel_matrix: 1 for the same exam, else both
+    summaries must be labeled, and different labels weigh 0."""
+    if same_exam:
+        return 1.0
+    if not (s_i.is_labeled and s_j.is_labeled):
+        bad = s_i if not s_i.is_labeled else s_j
+        raise AnnotationError(f"exam {bad.exam_id!r} is unlabeled; cross-exam weights need labels")
+    if s_i.label != s_j.label:
+        return 0.0
+    if variant is KernelVariant.PROPOSED:
+        return min(s_i.confidence, s_j.confidence)
+    if variant is KernelVariant.HIGH_CONFIDENCE:
+        # Confidence is an exact integer ratio, so equality with 1 is sharp.
+        return COARSE_WEIGHT if s_i.confidence == 1.0 and s_j.confidence == 1.0 else 0.0
+    if variant is KernelVariant.MAJORITY_VOTING:
+        return COARSE_WEIGHT
+    raise ValueError(f"unknown kernel variant {variant!r}")
 
 
 def _all_vote_vectors(max_n):

@@ -4,8 +4,10 @@ import json
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import confcl
@@ -39,3 +41,33 @@ def test_light_modules_load_no_scipy_or_study_stack(module):
     assert module in loaded
     heavy = [m for m in loaded if m.split(".")[0] == "scipy" or m in ("confcl.bench", "confcl.detection")]
     assert heavy == []
+
+
+def test_cli_and_its_numpy_commands_load_no_scipy(tmp_path):
+    # kernel, loss and gradcheck call no scipy function, so neither the CLI
+    # import nor those commands may pay for loading it; eval-detect and
+    # simulate load it on first use.
+    meta = tmp_path / "meta.csv"
+    meta.write_text("exam_id,source,value\na,pirads,5\na,pirads,4\nb,isup,2\nc,pirads,1\n")
+    rng = np.random.default_rng(0)
+    for name in ("x1.csv", "x2.csv"):
+        np.savetxt(tmp_path / name, rng.normal(size=(4, 3)), delimiter=",")
+    commands = [
+        ["kernel", "--metadata", str(meta), "--out", str(tmp_path / "k.csv")],
+        ["loss", "--x1", str(tmp_path / "x1.csv"), "--x2", str(tmp_path / "x2.csv"),
+         "--metadata", str(meta), "--normalize", "--out", str(tmp_path / "loss.json")],
+        ["gradcheck", "--variant", "proposed"],
+    ]
+    code = textwrap.dedent(f"""\
+        import contextlib, io
+        from confcl.cli import main
+        def scipy():
+            return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+        seen = {{"import": scipy()}}
+        for argv in {commands!r}:
+            with contextlib.redirect_stdout(io.StringIO()):
+                seen[argv[0]] = [main(argv), scipy()]
+        print(json.dumps(seen))
+    """)
+    seen = _fresh(code)
+    assert seen == {"import": [], "kernel": [0, []], "loss": [0, []], "gradcheck": [0, []]}
