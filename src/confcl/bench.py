@@ -171,7 +171,13 @@ def default_config() -> SynthConfig:
     return SynthConfig()
 
 
+def _require_object(value, name: str) -> None:
+    if not isinstance(value, dict):
+        raise ValueError(f"{name} must be a JSON object, got {type(value).__name__}")
+
+
 def config_from_dict(raw: dict) -> SynthConfig:
+    _require_object(raw, "config")
     data = dict(raw)
     annotator = data.pop("annotator", None)
     known = set(SynthConfig.__dataclass_fields__) - {"annotator"}
@@ -179,6 +185,7 @@ def config_from_dict(raw: dict) -> SynthConfig:
     if unknown:
         raise ValueError(f"unknown config fields: {sorted(unknown)}")
     if annotator is not None:
+        _require_object(annotator, "annotator")
         extra = set(annotator) - set(AnnotatorParams.__dataclass_fields__)
         if extra:
             raise ValueError(f"unknown annotator fields: {sorted(extra)}")
@@ -465,8 +472,6 @@ def linear_probe(
     accuracy and ROC AUC.  A split that strands one class on either side
     is redrawn once, then rejected.
     """
-    from scipy.special import expit  # here, not at import: the CLI starts without scipy
-
     x = np.asarray(embeddings, dtype=np.float64)
     y = np.asarray(labels)
     if x.ndim != 2 or len(x) != len(y):
@@ -489,7 +494,7 @@ def linear_probe(
     x_tr, y_tr = x[tr], y[tr]
     for _ in range(500):
         logits = x_tr @ w + b
-        p = expit(logits)
+        p = 0.5 + 0.5 * np.tanh(0.5 * logits)  # the logistic, without exp overflow
         err = p - y_tr
         w -= 0.5 * (x_tr.T @ err) / len(tr)
         b -= 0.5 * float(err.mean())
@@ -580,15 +585,13 @@ def _evaluate_cell(
     return align, unif, breakdown
 
 
-def _run_cell(config: SynthConfig, variant: str, seed: int) -> CellRecord:
+def _run_cell(config: SynthConfig, variant: str, seed: int, dataset: SynthDataset) -> CellRecord:
     try:
         # Per-cell streams keyed on the variant's registry position and the
         # seed value, not on list positions, so a cell's record is the same
-        # in any study that runs it; datasets depend on the seed only, so
-        # every variant sees the same exams for a given seed.
+        # in any study that runs it.
         cell_ss = np.random.SeedSequence((config.seed, list(STUDY_VARIANTS).index(variant), seed))
         train_ss, eval_ss, probe_ss = cell_ss.spawn(3)
-        dataset = generate_dataset(config, seed)
         cell = study_cell(config, dataset, variant)
         encoder, epoch_losses = train(config, cell, np.random.default_rng(train_ss))
         align, unif, breakdown = _evaluate_cell(config, cell, encoder, np.random.default_rng(eval_ss))
@@ -647,7 +650,10 @@ def run_study(
         variant_spec(v)
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    args = [(config, variant, seed) for variant in variants for seed in seeds]
+    # A dataset depends on the seed only: each is built once, and every
+    # variant at that seed trains on the same exams.
+    datasets = {seed: generate_dataset(config, seed) for seed in seeds}
+    args = [(config, variant, seed, datasets[seed]) for variant in variants for seed in seeds]
     workers = min(workers, len(args), _usable_cpus())
     if workers <= 1:
         records = [_run_cell(*a) for a in args]

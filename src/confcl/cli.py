@@ -51,7 +51,13 @@ def _parse_overrides(args: argparse.Namespace) -> dict[str, float]:
         exam_id, sep, value = entry.partition("=")
         if not sep or not exam_id:
             raise ValueError(f"bad --epsilon-override {entry!r}; expected EXAM_ID=VALUE")
-        overrides[exam_id] = metadata.check_epsilon(float(value), f"--epsilon-override {exam_id}")
+        if exam_id in overrides:
+            raise ValueError(f"--epsilon-override gives exam {exam_id!r} twice")
+        try:
+            epsilon = float(value)
+        except ValueError:
+            raise ValueError(f"bad --epsilon-override {entry!r}; VALUE {value!r} is not a number") from None
+        overrides[exam_id] = metadata.check_epsilon(epsilon, f"--epsilon-override {exam_id}")
     return overrides
 
 
@@ -302,13 +308,20 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 def _list_option(value: str | None, flag: str, cast) -> list | None:
     """A comma-separated option's entries through cast, or None if it was not
-    given; an empty list or entry is an error, not a request for the default."""
+    given; an empty list or entry is an error, not a request for the default,
+    and an entry that cast rejects is named with its flag."""
     if value is None:
         return None
     entries = value.split(",")
     if "" in entries:
         raise ValueError(f"{flag} {value!r} has an empty entry")
-    return [cast(e) for e in entries]
+    parsed = []
+    for entry in entries:
+        try:
+            parsed.append(cast(entry))
+        except ValueError as exc:
+            raise ValueError(f"{flag} {value!r} has a bad entry {entry!r}: {exc}") from None
+    return parsed
 
 
 def _write_cells_csv(path: str, report: bench.StudyReport) -> None:

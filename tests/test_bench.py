@@ -89,6 +89,19 @@ def test_config_from_dict_rejects_unknown_fields():
 
 
 @pytest.mark.parametrize(
+    "raw, message",
+    [
+        ([1, 2], "config must be a JSON object, got list"),
+        ({"annotator": 5}, "annotator must be a JSON object, got int"),
+        ({"annotator": [1]}, "annotator must be a JSON object, got list"),
+    ],
+)
+def test_config_from_dict_wants_json_objects(raw, message):
+    with pytest.raises(ValueError, match=message):
+        config_from_dict(raw)
+
+
+@pytest.mark.parametrize(
     "kwargs",
     [
         {"n_exams": -1},
@@ -641,7 +654,7 @@ def test_run_cell_summarizes_each_exam_once_and_builds_one_block(monkeypatch):
     for name in ("summarize", "batch_loss_inputs", "generate_dataset", "train"):
         monkeypatch.setattr(bench, name, _counting(counts, name, getattr(bench, name)))
     cfg = _small_config()
-    assert bench._run_cell(cfg, "proposed", 0).error is None
+    assert bench.run_study(cfg, ["proposed"], [0]).records[0].error is None
     assert counts == {
         "summarize": cfg.n_exams,
         "batch_loss_inputs": 1,
@@ -941,6 +954,25 @@ def test_run_study_clamps_workers_to_usable_cpus(monkeypatch):
     serial = run_study(cfg, variants=["proposed", "hc"], seeds=[0, 1], workers=64)
     assert asked == []  # one usable CPU runs the cells in process, with no pool
     assert _study_json(clamped) == _study_json(serial)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_run_study_generates_each_seeds_dataset_once(monkeypatch, workers):
+    # Every variant at a seed shares that seed's dataset, in process or
+    # handed to a pool.
+    import confcl.bench as bench
+
+    asked = _serial_pool(monkeypatch, usable_cpus=2)
+    counts = Counter()
+    monkeypatch.setattr(
+        bench, "generate_dataset", _counting(counts, "generate_dataset", bench.generate_dataset)
+    )
+    report = bench.run_study(
+        _small_config(), ["proposed", "hc", "unsupervised"], [0, 1], workers=workers
+    )
+    assert asked == ([] if workers == 1 else [2])
+    assert counts == {"generate_dataset": 2}
+    assert [r.error for r in report.records] == [None] * 6
 
 
 def test_usable_cpus_follows_affinity_then_cpu_count(monkeypatch):

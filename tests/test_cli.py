@@ -108,6 +108,11 @@ def test_kernel_epsilon_override_flag(capsys, tmp_path, metadata_csv):
         (["--epsilon-override", "d=nan"], "--epsilon-override d nan outside (0, 1]"),
         (["--epsilon-override", "zz=-1"], "--epsilon-override zz -1.0 outside (0, 1]"),
         (["--epsilon-override", "b"], "bad --epsilon-override 'b'; expected EXAM_ID=VALUE"),
+        (["--epsilon-override", "a=abc"], "bad --epsilon-override 'a=abc'; VALUE 'abc' is not a number"),
+        (
+            ["--epsilon-override", "b=0.2", "--epsilon-override", "b=0.3"],
+            "--epsilon-override gives exam 'b' twice",
+        ),
     ],
 )
 def test_epsilon_options_are_checked_before_reading(capsys, tmp_path, command, flags, message):
@@ -689,7 +694,17 @@ def test_simulate_rejects_unknown_config_field(capsys, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "body", ['{"epochs": 2.5}', '{"n_exams": 40.0}', '{"seed": -1}', '{"epsilon": 0}', '{"epsilon": NaN}']
+    "body",
+    [
+        '{"epochs": 2.5}',
+        '{"n_exams": 40.0}',
+        '{"seed": -1}',
+        '{"epsilon": 0}',
+        '{"epsilon": NaN}',
+        "[1,2]",
+        '{"annotator": 5}',
+        '{"annotator": [1]}',
+    ],
 )
 def test_simulate_rejects_a_bad_config_value(capsys, tmp_path, body):
     path = tmp_path / "config.json"
@@ -732,10 +747,19 @@ def test_simulate_rejects_invalid_json(capsys, tmp_path):
         (["--seeds", ""], "--seeds '' has an empty entry"),
         (["--variants", "proposed,"], "--variants 'proposed,' has an empty entry"),
         (["--seeds", "0,,1"], "--seeds '0,,1' has an empty entry"),
+        (
+            ["--seeds", "1e3"],
+            "--seeds '1e3' has a bad entry '1e3': invalid literal for int() with base 10: '1e3'",
+        ),
+        (
+            ["--seeds", "0,x"],
+            "--seeds '0,x' has a bad entry 'x': invalid literal for int() with base 10: 'x'",
+        ),
     ],
 )
 def test_simulate_rejects_an_empty_list(capsys, tmp_path, flags, message):
-    # An explicit empty list is an error, not a request for the 6 x 10 default.
+    # An explicit empty list is an error, not a request for the 6 x 10
+    # default; an entry that does not parse is named with its flag.
     cfg = _tiny_config(tmp_path)
     out = tmp_path / "report.json"
     code, stdout, stderr = _run(

@@ -44,11 +44,13 @@ def test_light_modules_load_no_scipy_or_study_stack(module):
 
 
 def test_cli_and_its_numpy_commands_load_no_scipy(tmp_path):
-    # kernel, loss and gradcheck call no scipy function, so neither the CLI
-    # import nor those commands may pay for loading it; eval-detect and
-    # simulate load it on first use.
+    # kernel, loss, gradcheck and simulate call no scipy function, so neither
+    # the CLI import nor those commands may pay for loading it; only
+    # eval-detect loads it, on first use.
     meta = tmp_path / "meta.csv"
     meta.write_text("exam_id,source,value\na,pirads,5\na,pirads,4\nb,isup,2\nc,pirads,1\n")
+    config = tmp_path / "config.json"
+    config.write_text('{"n_exams": 40, "epochs": 1}')
     rng = np.random.default_rng(0)
     for name in ("x1.csv", "x2.csv"):
         np.savetxt(tmp_path / name, rng.normal(size=(4, 3)), delimiter=",")
@@ -57,6 +59,8 @@ def test_cli_and_its_numpy_commands_load_no_scipy(tmp_path):
         ["loss", "--x1", str(tmp_path / "x1.csv"), "--x2", str(tmp_path / "x2.csv"),
          "--metadata", str(meta), "--normalize", "--out", str(tmp_path / "loss.json")],
         ["gradcheck", "--variant", "proposed"],
+        ["simulate", "--config", str(config), "--variants", "proposed", "--seeds", "0",
+         "--workers", "1", "--out", str(tmp_path / "study.json")],
     ]
     code = textwrap.dedent(f"""\
         import contextlib, io
@@ -70,4 +74,10 @@ def test_cli_and_its_numpy_commands_load_no_scipy(tmp_path):
         print(json.dumps(seen))
     """)
     seen = _fresh(code)
-    assert seen == {"import": [], "kernel": [0, []], "loss": [0, []], "gradcheck": [0, []]}
+    assert seen == {
+        "import": [],
+        "kernel": [0, []],
+        "loss": [0, []],
+        "gradcheck": [0, []],
+        "simulate": [0, []],
+    }
