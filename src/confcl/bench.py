@@ -129,7 +129,6 @@ class SynthConfig:
     aug_sigma: float = 0.5
     annotator: AnnotatorParams = field(default_factory=AnnotatorParams)
     frac_unlabeled: float = 0.3
-    variant: str = "proposed"
     epochs: int = 30
     batch_size: int = 16
     learning_rate: float = 1e-2
@@ -158,7 +157,6 @@ class SynthConfig:
                 raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
         if not (0.0 <= self.frac_unlabeled <= 1.0):
             raise ValueError(f"frac_unlabeled {self.frac_unlabeled} outside [0, 1]")
-        variant_spec(self.variant)
         if not (0.0 <= self.momentum < 1.0):
             raise ValueError(f"momentum {self.momentum} outside [0, 1)")
         check_epsilon(self.epsilon)
@@ -400,9 +398,9 @@ class StudyCell(NamedTuple):
         )
 
 
-def study_cell(config: SynthConfig, dataset: SynthDataset, variant: str | None) -> StudyCell:
-    """The cell of variant (None: config.variant), summarized with its epsilon, else the config's."""
-    spec = variant_spec(variant if variant is not None else config.variant)
+def study_cell(config: SynthConfig, dataset: SynthDataset, variant: str) -> StudyCell:
+    """The cell of variant, summarized with its epsilon, else the config's."""
+    spec = variant_spec(variant)
     epsilon = spec.epsilon if spec.epsilon is not None else config.epsilon
     summaries = [summarize(a, epsilon) for a in dataset.annotations]
     partition, kernel = batch_loss_inputs(summaries, spec)

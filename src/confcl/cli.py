@@ -14,7 +14,9 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import errno
 import json
+import os
 import sys
 
 import numpy as np
@@ -64,22 +66,18 @@ def _parse_overrides(args: argparse.Namespace) -> dict[str, float]:
 def _read_summaries(
     args: argparse.Namespace, overrides: dict[str, float]
 ) -> list[metadata.MetadataSummary]:
-    """The --metadata CSV's exams, in first-appearance order, summarized
-    under --epsilon, the parsed overrides and --biopsy-source's full trust.
-
-    The biopsy variant without explicit settings defaults to trusting
-    every isup-sourced exam fully.
-    """
-    vectors = cio.read_metadata_csv(args.metadata)
+    """The --metadata CSV's exams, in first-appearance order, each summarized
+    with its --epsilon-override, else 1 if it has a vote from --biopsy-source,
+    else --epsilon.  The biopsy variant without explicit settings trusts every
+    isup-sourced exam fully."""
     biopsy_source = args.biopsy_source
     if args.variant == "biopsy" and not overrides and biopsy_source is None:
         biopsy_source = "isup"
-    if biopsy_source is not None:
-        src = metadata.Source(biopsy_source)
-        for vec in vectors:
-            if src in vec.sources:
-                overrides.setdefault(vec.exam_id, 1.0)
-    return metadata.summarize_batch(vectors, args.epsilon, overrides)
+    trusted = None if biopsy_source is None else metadata.Source(biopsy_source)
+    return [
+        metadata.summarize(vec, overrides.get(vec.exam_id, 1.0 if trusted in vec.sources else args.epsilon))
+        for vec in cio.read_metadata_csv(args.metadata)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -113,7 +111,11 @@ def _load_views(args: argparse.Namespace) -> losses.ViewPairBatch:
         return cio.read_embeddings(args.embeddings)
     if args.x1 is None or args.x2 is None:
         raise ValueError("give --embeddings or both --x1 and --x2")
-    return losses.ViewPairBatch(cio.read_matrix_csv(args.x1), cio.read_matrix_csv(args.x2))
+    x1, x2 = cio.read_matrix_csv(args.x1), cio.read_matrix_csv(args.x2)
+    try:
+        return losses.ViewPairBatch(x1, x2)
+    except ValueError as exc:  # the readers admit only finite (N, D), so a shape mismatch
+        raise ValueError(f"--x1 {args.x1} with --x2 {args.x2}: {exc}") from None
 
 
 def _cmd_loss(args: argparse.Namespace) -> int:
@@ -205,7 +207,7 @@ def _cmd_eval_detect(args: argparse.Namespace) -> int:
     dynamic = None
     if args.dynamic:
         dynamic = detection.DynamicThresholdParams(
-            args.t_start, args.t_min, args.step, args.max_candidates, args.min_voxels
+            **{f.name: getattr(args, f.name) for f in dataclasses.fields(detection.DynamicThresholdParams)}
         )
     settings = dict(
         tau=args.tau,
@@ -297,6 +299,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         config = dataclasses.replace(config, seed=args.seed)
     variants = _list_option(args.variants, "--variants", str)
     seeds = _list_option(args.seeds, "--seeds", int)
+    # Fail before the study runs, not after, when an output has no directory.
+    for flag, path in (("--out", args.out), ("--cells-csv", args.cells_csv), ("--summary-csv", args.summary_csv)):
+        if path is not None and not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+            raise FileNotFoundError(errno.ENOENT, f"no directory for {flag}", path)
     report = bench.run_study(config, variants, seeds, args.workers)
     _print_json(report.as_dict(), args.out)
     if args.cells_csv is not None:
@@ -408,11 +414,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--connectivity", type=int, choices=detection.CONNECTIVITIES, default=26)
     p_eval.add_argument("--threshold", type=float, default=None, help="fixed threshold (default 0.5)")
     p_eval.add_argument("--dynamic", action="store_true", help="use the descending threshold search")
-    p_eval.add_argument("--t-start", type=float, default=0.6)
-    p_eval.add_argument("--t-min", type=float, default=0.1)
-    p_eval.add_argument("--step", type=float, default=0.05)
-    p_eval.add_argument("--max-candidates", type=int, default=5)
-    p_eval.add_argument("--min-voxels", type=int, default=10)
+    for f in dataclasses.fields(detection.DynamicThresholdParams):
+        p_eval.add_argument("--" + f.name.replace("_", "-"), type=type(f.default), default=f.default)
     p_eval.add_argument("--out", default=None, help="output JSON path (default stdout)")
     p_eval.add_argument("--csv", default=None, help="metric,value,n CSV path")
     p_eval.set_defaults(func=_cmd_eval_detect)

@@ -79,7 +79,10 @@ def _umask() -> int:
 def atomic_write(path: str, binary: bool = False):
     """Write to a same-directory temp file, then rename over the target."""
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-confcl-")
+    try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-confcl-")
+    except OSError as exc:  # name the target, not the temp file that was never made
+        raise type(exc)(exc.errno, exc.strerror, path) from None
     try:
         mode = "wb" if binary else "w"
         with os.fdopen(fd, mode, **({} if binary else {"newline": "\n"})) as handle:
@@ -149,20 +152,15 @@ def group_annotations(rows: list[RawAnnotation]) -> list[AnnotationVector]:
     Equivocal scores binarize to an abstention and contribute no vote,
     but the exam still appears (possibly with an empty vector).
     """
-    order: list[str] = []
-    votes: dict[str, list[int]] = {}
-    sources: dict[str, list[Source]] = {}
+    exams: dict[str, list[tuple[int, Source]]] = {}  # insertion order is first appearance
     for row in rows:
-        if row.exam_id not in votes:
-            order.append(row.exam_id)
-            votes[row.exam_id] = []
-            sources[row.exam_id] = []
+        pairs = exams.setdefault(row.exam_id, [])
         vote = binarize(row.source, row.value)
         if vote is not None:
-            votes[row.exam_id].append(vote)
-            sources[row.exam_id].append(row.source)
+            pairs.append((vote, row.source))
     return [
-        AnnotationVector(eid, tuple(votes[eid]), tuple(sources[eid])) for eid in order
+        AnnotationVector(eid, tuple(v for v, _ in pairs), tuple(s for _, s in pairs))
+        for eid, pairs in exams.items()
     ]
 
 

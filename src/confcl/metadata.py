@@ -213,19 +213,9 @@ def confidence(votes: tuple[int, ...] | list[int], epsilon: float = DEFAULT_EPSI
     return float(Fraction(2 * majority_count - n, n))
 
 
-def summarize(
-    vector: AnnotationVector,
-    epsilon: float = DEFAULT_EPSILON,
-    epsilon_overrides: dict[str, float] | None = None,
-) -> MetadataSummary:
-    """Collapse an exam's votes to a labeled or unlabeled summary.
-
-    Empty vectors and exact ties are unlabeled.  ``epsilon_overrides``
-    substitutes a per-exam single-vote confidence before evaluation (used
-    to trust pathology-grade exams fully).
-    """
-    if epsilon_overrides and vector.exam_id in epsilon_overrides:
-        epsilon = epsilon_overrides[vector.exam_id]
+def summarize(vector: AnnotationVector, epsilon: float = DEFAULT_EPSILON) -> MetadataSummary:
+    """Collapse an exam's votes to a labeled or unlabeled summary; empty
+    vectors and exact ties are unlabeled."""
     if vector.n == 0:
         return MetadataSummary.unlabeled(vector.exam_id)
     ones = sum(vector.votes)
@@ -236,12 +226,8 @@ def summarize(
     return MetadataSummary.labeled(vector.exam_id, label, confidence(vector.votes, epsilon))
 
 
-def summarize_batch(
-    vectors: list[AnnotationVector],
-    epsilon: float = DEFAULT_EPSILON,
-    epsilon_overrides: dict[str, float] | None = None,
-) -> list[MetadataSummary]:
-    return [summarize(v, epsilon, epsilon_overrides) for v in vectors]
+def summarize_batch(vectors: list[AnnotationVector], epsilon: float = DEFAULT_EPSILON) -> list[MetadataSummary]:
+    return [summarize(v, epsilon) for v in vectors]
 
 
 # ---------------------------------------------------------------------------

@@ -61,7 +61,6 @@ def test_default_config_committed_values():
     assert cfg.aug_sigma == 0.5
     assert cfg.annotator == AnnotatorParams(n_min=1, n_max=7, p_flip=0.3, p_abstain=0.1)
     assert cfg.frac_unlabeled == 0.3
-    assert cfg.variant == "proposed"
     assert cfg.epochs == 30
     assert cfg.batch_size == 16
     assert cfg.learning_rate == 1e-2
@@ -75,7 +74,6 @@ def test_config_dict_round_trip():
     cfg = SynthConfig(
         n_exams=20,
         annotator=AnnotatorParams(2, 5, 0.2, 0.0),
-        variant="hc",
         epsilon=0.25,
     )
     assert config_from_dict(cfg.as_dict()) == cfg
@@ -113,7 +111,6 @@ def test_config_from_dict_wants_json_objects(raw, message):
         {"noise_sigma": -1.0},
         {"aug_sigma": -1.0},
         {"frac_unlabeled": 1.5},
-        {"variant": "novel"},
         {"epochs": -1},
         {"learning_rate": -1e-3},
         {"momentum": 1.0},
@@ -431,8 +428,8 @@ def _small_config(**overrides):
 
 
 def test_train_zero_learning_rate_leaves_parameters_unchanged():
-    cfg = SynthConfig(n_exams=32, epochs=2, learning_rate=0.0, variant="proposed")
-    cell = study_cell(cfg, generate_dataset(cfg, seed=1), None)
+    cfg = SynthConfig(n_exams=32, epochs=2, learning_rate=0.0)
+    cell = study_cell(cfg, generate_dataset(cfg, seed=1), "proposed")
     encoder, losses = train(cfg, cell, np.random.default_rng(2))
     init = Encoder.init(
         cfg.input_dim,
@@ -448,7 +445,7 @@ def test_train_zero_learning_rate_leaves_parameters_unchanged():
 
 def test_train_deterministic():
     cfg = _small_config()
-    cell = study_cell(cfg, generate_dataset(cfg, seed=0), None)
+    cell = study_cell(cfg, generate_dataset(cfg, seed=0), "proposed")
     enc_a, losses_a = train(cfg, cell, np.random.default_rng(4))
     enc_b, losses_b = train(cfg, cell, np.random.default_rng(4))
     assert losses_a == losses_b
@@ -457,8 +454,8 @@ def test_train_deterministic():
 
 
 def test_train_loss_decreases_over_two_epochs():
-    cfg = SynthConfig(epochs=2, variant="unsupervised")
-    cell = study_cell(cfg, generate_dataset(cfg, seed=0), None)
+    cfg = SynthConfig(epochs=2)
+    cell = study_cell(cfg, generate_dataset(cfg, seed=0), "unsupervised")
     _, losses = train(cfg, cell, np.random.default_rng(7))
     assert len(losses) == 2
     assert losses[1] <= losses[0]
@@ -466,22 +463,12 @@ def test_train_loss_decreases_over_two_epochs():
 
 def test_train_zero_epochs_returns_initial_encoder():
     cfg = _small_config(epochs=0)
-    cell = study_cell(cfg, generate_dataset(cfg, seed=0), None)
+    cell = study_cell(cfg, generate_dataset(cfg, seed=0), "proposed")
     encoder, losses = train(cfg, cell, np.random.default_rng(9))
     init = Encoder.init(4, 6, 3, True, np.random.default_rng(9))
     assert losses == []
     for key, val in encoder.params().items():
         assert np.array_equal(val, init.params()[key])
-
-
-def test_train_default_spec_comes_from_config():
-    cfg = _small_config(variant="unsupervised")
-    data = generate_dataset(cfg, seed=0)
-    default = study_cell(cfg, data, None)
-    assert default.spec == variant_spec("unsupervised")
-    _, losses_a = train(cfg, default, np.random.default_rng(1))
-    _, losses_b = train(cfg, study_cell(cfg, data, "unsupervised"), np.random.default_rng(1))
-    assert losses_a == losses_b
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -492,10 +479,9 @@ def test_train_diverges_on_enormous_learning_rate():
         batch_size=8,
         learning_rate=1e280,
         normalize_embeddings=False,
-        variant="unsupervised",
         frac_unlabeled=1.0,
     )
-    cell = study_cell(cfg, generate_dataset(cfg, seed=0), None)
+    cell = study_cell(cfg, generate_dataset(cfg, seed=0), "unsupervised")
     with pytest.raises(TrainingDivergedError, match="epoch 0"):
         train(cfg, cell, np.random.default_rng(0))
     try:
@@ -517,10 +503,9 @@ def test_train_diverges_on_non_finite_embeddings():
         batch_size=8,
         learning_rate=1e308,
         normalize_embeddings=False,
-        variant="unsupervised",
         frac_unlabeled=1.0,
     )
-    cell = study_cell(cfg, generate_dataset(cfg, seed=0), None)
+    cell = study_cell(cfg, generate_dataset(cfg, seed=0), "unsupervised")
     with pytest.warns(RuntimeWarning), pytest.raises(TrainingDivergedError) as info:
         train(cfg, cell, np.random.default_rng(0))
     assert (info.value.epoch, info.value.batch_index) == (0, 1)

@@ -1,5 +1,6 @@
 """Command line tests; every command runs in process through main()."""
 
+import dataclasses
 import json
 import os
 import struct
@@ -8,9 +9,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from confcl import io as cio
+from confcl import bench, io as cio
 from confcl.bench import batch_loss_inputs, variant_spec
-from confcl.cli import main
+from confcl.cli import build_parser, main
+from confcl.detection import DynamicThresholdParams
 from confcl.losses import BatchPartition, ViewPairBatch, loss_decoupled
 from confcl.metadata import MetadataSummary, summarize_batch
 
@@ -95,6 +97,39 @@ def test_kernel_epsilon_override_flag(capsys, tmp_path, metadata_csv):
     assert code == 0
     got = cio.read_matrix_csv(str(out))
     assert got[0, 1] == 0.2
+
+
+@pytest.mark.parametrize(
+    "flags, conf_a, conf_b",
+    [
+        ([], 0.5, 0.2),
+        # An explicit override beats --biopsy-source's full trust.
+        (["--biopsy-source", "pirads"], 0.5, 1.0),
+    ],
+)
+def test_kernel_override_applies_to_its_exam_only(capsys, tmp_path, flags, conf_a, conf_b):
+    # a and b are single-vote exams; c's two agreeing votes give it
+    # confidence 1, so row c reads a's and b's confidences directly.
+    meta = _write_metadata(
+        tmp_path / "meta.csv",
+        [("a", "pirads", 5), ("b", "pirads", 4), ("c", "pirads", 5), ("c", "pirads", 4)],
+    )
+    out = tmp_path / "kernel.csv"
+    argv = ["kernel", "--metadata", meta, "--epsilon", "0.2", "--epsilon-override", "a=0.5"]
+    code, _, _ = _run(capsys, argv + flags + ["--out", str(out)])
+    assert code == 0
+    got = cio.read_matrix_csv(str(out))
+    assert (got[2, 0], got[2, 1], got[0, 1]) == (conf_a, conf_b, min(conf_a, conf_b))
+
+
+def test_kernel_out_in_a_missing_directory_names_the_target(capsys, tmp_path, metadata_csv):
+    out = tmp_path / "missing" / "k.csv"
+    code, stdout, stderr = _run(capsys, ["kernel", "--metadata", metadata_csv, "--out", str(out)])
+    assert (code, stdout) == (1, "")
+    err = json.loads(stderr)
+    assert err["error"] == "FileNotFoundError"
+    assert str(out) in err["message"]
+    assert ".tmp-confcl" not in err["message"]
 
 
 @pytest.mark.parametrize("command", ["kernel", "loss"])
@@ -309,6 +344,20 @@ def test_loss_requires_both_view_files(capsys, tmp_path):
     assert "both --x1 and --x2" in json.loads(stderr)["message"]
 
 
+@pytest.mark.parametrize("shape", [(2, 2), (3, 3)])
+def test_loss_names_both_view_files_on_a_shape_mismatch(capsys, tmp_path, shape):
+    _, _, p1, _ = _write_views(tmp_path)
+    p2 = str(tmp_path / "other.csv")
+    cio.write_matrix_csv(p2, np.zeros(shape))
+    code, stdout, stderr = _run(capsys, ["loss", "--x1", p1, "--x2", p2])
+    assert (code, stdout) == (1, "")
+    assert json.loads(stderr) == {
+        "error": "ValueError",
+        "message": f"--x1 {p1} with --x2 {p2}: "
+        f"views must share an (N, D) shape, got (3, 2) and {shape}",
+    }
+
+
 @pytest.mark.parametrize("csv_flags", [["--x1"], ["--x2"], ["--x1", "--x2"]])
 def test_loss_refuses_embeddings_with_view_csvs(capsys, tmp_path, csv_flags):
     # Four EMB1 rows against three CSV rows: neither source may win silently.
@@ -519,6 +568,13 @@ def test_eval_detect_names_the_pair_with_mismatched_dims(capsys, tmp_path):
     }
 
 
+def test_eval_detect_search_defaults_are_the_params_defaults():
+    args = build_parser().parse_args(["eval-detect", "--prob", "p", "--ref", "r"])
+    got = (args.t_start, args.t_min, args.step, args.max_candidates, args.min_voxels)
+    assert got == dataclasses.astuple(DynamicThresholdParams())
+    assert [type(v) for v in got] == [float, float, float, int, int]
+
+
 def test_eval_detect_malformed_volume(capsys, tmp_path):
     _, mask = _detection_fixture(tmp_path)
     bad = tmp_path / "bad.vol"
@@ -691,6 +747,37 @@ def test_simulate_rejects_unknown_config_field(capsys, tmp_path):
     assert err["error"] == "FileFormatError"
     assert err["file"] == str(path)
     assert "learning_rte" in err["message"]
+
+
+def test_simulate_rejects_a_variant_config_field(capsys, tmp_path):
+    # The study runs every requested variant; a config variant would be ignored.
+    path = tmp_path / "config.json"
+    path.write_text('{"n_exams": 40, "epochs": 1, "variant": "hc"}', encoding="utf-8")
+    out = tmp_path / "report.json"
+    code, stdout, stderr = _run(capsys, ["simulate", "--config", str(path), "--out", str(out)])
+    assert (code, stdout) == (1, "")
+    err = json.loads(stderr)
+    assert err["file"] == str(path)
+    assert err["message"] == f"{path}: unknown config fields: ['variant']"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--out", "--cells-csv", "--summary-csv"])
+def test_simulate_output_in_a_missing_directory_fails_before_the_study(
+    capsys, tmp_path, monkeypatch, flag
+):
+    def no_study(*args, **kwargs):
+        raise AssertionError("run_study called")
+
+    monkeypatch.setattr(bench, "run_study", no_study)
+    target = tmp_path / "missing" / "r.out"
+    code, stdout, stderr = _run(
+        capsys, ["simulate", "--config", _tiny_config(tmp_path), "--seeds", "0", flag, str(target)]
+    )
+    assert (code, stdout) == (1, "")
+    err = json.loads(stderr)
+    assert err["error"] == "FileNotFoundError"
+    assert flag in err["message"] and str(target) in err["message"]
 
 
 @pytest.mark.parametrize(

@@ -335,6 +335,6 @@ def test_train_builds_one_distance_matrix_per_step(monkeypatch):
         return real(batch)
 
     monkeypatch.setattr(losses, "pairwise_distances", counting)
-    cell = bench.study_cell(config, bench.generate_dataset(config, 0), None)
+    cell = bench.study_cell(config, bench.generate_dataset(config, 0), "proposed")
     bench.train(config, cell, np.random.default_rng(0))
     assert sizes == [8, 8, 4] * 2

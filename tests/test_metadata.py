@@ -184,14 +184,11 @@ def test_summarize_tie_and_empty_are_unlabeled():
     assert not summarize(_vector("e3", [])).is_labeled
 
 
-def test_summarize_single_vote_uses_epsilon_and_overrides():
+def test_summarize_single_vote_uses_epsilon():
     s = summarize(_vector("e1", [0]))
     assert (s.label, s.confidence) == (0, DEFAULT_EPSILON)
-    s = summarize(_vector("e1", [0]), epsilon_overrides={"e1": 1.0})
+    s = summarize(_vector("e1", [0]), 1.0)
     assert (s.label, s.confidence) == (0, 1.0)
-    # Overrides only apply to the named exam.
-    s = summarize(_vector("e2", [0]), epsilon_overrides={"e1": 1.0})
-    assert s.confidence == DEFAULT_EPSILON
 
 
 def test_summarize_batch_maps_each_vector():
