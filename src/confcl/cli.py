@@ -68,15 +68,21 @@ def _read_summaries(
 ) -> list[metadata.MetadataSummary]:
     """The --metadata CSV's exams, in first-appearance order, each summarized
     with its --epsilon-override, else 1 if it has a vote from --biopsy-source,
-    else --epsilon.  The biopsy variant without explicit settings trusts every
-    isup-sourced exam fully."""
+    else --epsilon.  The biopsy variant trusts isup votes unless
+    --biopsy-source names another source; an override pins only its own
+    exam, and one that names an exam the CSV lacks is an error."""
+    vectors = cio.read_metadata_csv(args.metadata)
+    exam_ids = {vec.exam_id for vec in vectors}
+    for exam_id in overrides:
+        if exam_id not in exam_ids:
+            raise cio.FileFormatError(f"no exam {exam_id!r}, which --epsilon-override names", args.metadata)
     biopsy_source = args.biopsy_source
-    if args.variant == "biopsy" and not overrides and biopsy_source is None:
+    if args.variant == "biopsy" and biopsy_source is None:
         biopsy_source = "isup"
     trusted = None if biopsy_source is None else metadata.Source(biopsy_source)
     return [
         metadata.summarize(vec, overrides.get(vec.exam_id, 1.0 if trusted in vec.sources else args.epsilon))
-        for vec in cio.read_metadata_csv(args.metadata)
+        for vec in vectors
     ]
 
 
@@ -120,6 +126,8 @@ def _load_views(args: argparse.Namespace) -> losses.ViewPairBatch:
 
 def _cmd_loss(args: argparse.Namespace) -> int:
     overrides = _parse_overrides(args)
+    if overrides and args.metadata is None:
+        raise ValueError("--epsilon-override needs --metadata")
     batch = _load_views(args)
     if args.normalize:
         batch = losses.ViewPairBatch(

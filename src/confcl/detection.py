@@ -15,6 +15,7 @@ come from ``confcl.io``, which checks each once, when built or read.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -48,9 +49,10 @@ __all__ = [
 ]
 
 CONNECTIVITIES = (6, 18, 26)
-# Most thresholds one dynamic search may visit: each visit labels the whole
-# volume, so a tiny step would run for hours (or never reach t_min in
-# floating point).  The default search visits 11.
+# Most thresholds one dynamic search may visit: each visit thresholds and
+# counts the whole volume, and labels it when enough voxels are foreground,
+# so a tiny step would run for hours (or never reach t_min in floating
+# point).  The default search visits at most 11.
 MAX_THRESHOLDS = 1000
 
 
@@ -126,6 +128,14 @@ class DynamicThresholdParams:
     min_voxels: int = 10
 
     def __post_init__(self) -> None:
+        # A bool, or a fractional count, would pass the range checks below.
+        for name in ("t_start", "t_min", "step"):
+            value = getattr(self, name)
+            if type(value) is bool or not isinstance(value, (int, float)):
+                raise ValueError(f"{name} must be a number, got {value!r}")
+        for name in ("max_candidates", "min_voxels"):
+            if type(getattr(self, name)) is not int:
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if not (0.0 <= self.t_min <= self.t_start <= 1.0):
             raise ValueError("need 0 <= t_min <= t_start <= 1")
         if not (0.0 < self.step < math.inf):
@@ -181,7 +191,7 @@ def _label(mask_data: np.ndarray, connectivity: int) -> _Labels:
     labeled, n = ndimage.label(mask_data.T, structure)
     nx, ny, _ = mask_data.shape
     flat = labeled.ravel()
-    index = np.flatnonzero(flat)
+    index = np.flatnonzero(mask_data.T)  # labels are non-zero exactly on the mask
     raw = flat[index] - 1
     first, min_y, min_x = (np.full(n, flat.size) for _ in range(3))
     np.minimum.at(first, raw, index)  # smallest voxel in (z, y, x) order
@@ -232,7 +242,11 @@ def dynamic_threshold(
     Starting at t_start, step down while the count of components with at
     least min_voxels voxels stays below max_candidates and t is above
     t_min; the mask at the final t is returned together with that t.  An
-    all-background volume therefore ends at exactly t_min.
+    all-background volume therefore ends at exactly t_min.  A mask with
+    fewer than max_candidates * min_voxels foreground voxels cannot hold
+    enough such components, so the search passes it without labeling;
+    only the masks that can stop the search, and the one at t_min, are
+    labeled.
     """
     return _dynamic_search(volume, params, connectivity)[:2]
 
@@ -241,15 +255,16 @@ def _dynamic_search(
     volume: ProbVolume, params: DynamicThresholdParams, connectivity: int
 ) -> tuple[BinaryMask, float, _Labels]:
     """dynamic_threshold plus the labeling of its final mask."""
-    k, t = 0, params.t_start
-    while True:
+    needed = params.max_candidates * params.min_voxels  # fewer voxels cannot stop the search
+    for k in itertools.count():
+        t = max(params.t_start - k * params.step, params.t_min)
         mask = threshold_volume(volume, t)
+        if t > params.t_min and np.count_nonzero(mask.data) < needed:
+            continue
         labels = _label(mask.data, connectivity)
         sizes = np.bincount(labels.label)
         if (sizes >= params.min_voxels).sum() >= params.max_candidates or t <= params.t_min:
             return mask, t, labels
-        k += 1
-        t = max(params.t_start - k * params.step, params.t_min)
 
 
 def lesion_candidates(

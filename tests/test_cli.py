@@ -122,6 +122,39 @@ def test_kernel_override_applies_to_its_exam_only(capsys, tmp_path, flags, conf_
     assert (got[2, 0], got[2, 1], got[0, 1]) == (conf_a, conf_b, min(conf_a, conf_b))
 
 
+@pytest.mark.parametrize("overrides, weight", [([], 1.0), (["--epsilon-override", "a=0.5"], 1.0)])
+def test_kernel_biopsy_keeps_trusting_isup_under_an_override(capsys, tmp_path, overrides, weight):
+    # a's two PI-RADS 5 reads agree (confidence 1), so an override of a
+    # changes nothing; b's lone ISUP read stays fully trusted, not epsilon.
+    meta = _write_metadata(tmp_path / "meta.csv", [("a", "pirads", 5), ("a", "pirads", 5), ("b", "isup", 2)])
+    out = tmp_path / "kernel.csv"
+    argv = ["kernel", "--metadata", meta, "--variant", "biopsy", *overrides, "--out", str(out)]
+    assert _run(capsys, argv)[0] == 0
+    assert cio.read_matrix_csv(str(out))[0, 1] == weight
+
+
+@pytest.mark.parametrize("command", ["kernel", "loss"])
+def test_epsilon_override_of_an_absent_exam_names_it_and_the_file(capsys, tmp_path, command):
+    _, _, p1, p2 = _write_views(tmp_path)
+    meta = _write_metadata(tmp_path / "meta.csv", [("a", "pirads", 5), ("b", "pirads", 1)])
+    out = tmp_path / "out"
+    inputs = ["--x1", p1, "--x2", p2] if command == "loss" else []
+    argv = [command, *inputs, "--metadata", meta, "--epsilon-override", "A=0.5", "--out", str(out)]
+    code, stdout, stderr = _run(capsys, argv)
+    assert (code, stdout) == (1, "")
+    err = json.loads(stderr)
+    assert err["file"] == meta
+    assert err["message"] == f"{meta}: no exam 'A', which --epsilon-override names"
+    assert not out.exists()
+
+
+def test_loss_epsilon_override_needs_metadata(capsys, tmp_path):
+    _, _, p1, p2 = _write_views(tmp_path)
+    code, stdout, stderr = _run(capsys, ["loss", "--x1", p1, "--x2", p2, "--epsilon-override", "a=0.5"])
+    assert (code, stdout) == (1, "")
+    assert json.loads(stderr)["message"] == "--epsilon-override needs --metadata"
+
+
 def test_kernel_out_in_a_missing_directory_names_the_target(capsys, tmp_path, metadata_csv):
     out = tmp_path / "missing" / "k.csv"
     code, stdout, stderr = _run(capsys, ["kernel", "--metadata", metadata_csv, "--out", str(out)])

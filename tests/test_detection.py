@@ -5,6 +5,7 @@ greedy matcher built on it, exhaustive positive/negative pair counting for
 AUC, and a literal precision-recall step sum for average precision.
 """
 
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -293,11 +294,33 @@ def test_connectivity_must_be_a_known_neighborhood():
 # ---------------------------------------------------------------------------
 
 
-def test_dynamic_threshold_all_background_ends_at_t_min():
+def _counting(monkeypatch):
+    """Record each threshold the search visits and each labeling, in order."""
+    events = []
+    threshold_volume, label = detection.threshold_volume, detection._label
+
+    def counted_threshold(volume, t):
+        events.append(t)
+        return threshold_volume(volume, t)
+
+    def counted_label(mask_data, connectivity):
+        events.append("label")
+        return label(mask_data, connectivity)
+
+    monkeypatch.setattr(detection, "threshold_volume", counted_threshold)
+    monkeypatch.setattr(detection, "_label", counted_label)
+    return events
+
+
+def test_dynamic_threshold_all_background_ends_at_t_min(monkeypatch):
+    events = _counting(monkeypatch)
     v = ProbVolume(np.zeros((3, 3, 3)))
     mask, t = dynamic_threshold(v, DynamicThresholdParams())
     assert t == DynamicThresholdParams().t_min
     assert not mask.data.any()
+    # 11 thresholds from 0.6 down to 0.1; only the mask at t_min is labeled.
+    assert len(events) == 12 and events.count("label") == 1
+    assert events[-2:] == [t, "label"]
 
 
 def test_dynamic_threshold_stops_at_start_when_enough_candidates():
@@ -346,6 +369,61 @@ def test_dynamic_threshold_params_validation():
         with pytest.raises(ValueError, match="more than 1000 thresholds"):
             DynamicThresholdParams(t_start=1.0, t_min=0.0, step=step)
     assert DynamicThresholdParams(t_start=0.3, t_min=0.3, step=1e-20).step == 1e-20
+    # Bools and fractional counts would pass the range checks.
+    for field, value, message in [
+        ("max_candidates", 2.0, "max_candidates must be an integer, got 2.0"),
+        ("max_candidates", True, "max_candidates must be an integer, got True"),
+        ("min_voxels", 2.5, "min_voxels must be an integer, got 2.5"),
+        ("min_voxels", np.int64(3), "min_voxels must be an integer, got "),
+        ("t_start", True, "t_start must be a number, got True"),
+        ("t_min", False, "t_min must be a number, got False"),
+        ("step", True, "step must be a number, got True"),
+        ("step", "0.1", "step must be a number, got '0.1'"),
+    ]:
+        with pytest.raises(ValueError, match="^" + re.escape(message)):
+            DynamicThresholdParams(**{field: value})
+
+
+def test_dynamic_search_labels_only_thresholds_that_can_stop_it(monkeypatch):
+    # K * V = 8.  t = 0.7 and 0.6 keep 3 voxels and are passed unlabeled;
+    # t = 0.5 and 0.4 keep one 9-voxel blob, are labeled and do not stop;
+    # t = 0.3 adds a second 4-voxel blob and stops the search.
+    data = np.zeros((8, 6, 3))
+    data[0:3, 0:3, 0] = 0.55
+    data[0:3, 0, 0] = 0.75
+    data[5:7, 3:5, 2] = 0.35
+    params = DynamicThresholdParams(t_start=0.7, t_min=0.1, step=0.1, max_candidates=2, min_voxels=4)
+    needed = params.max_candidates * params.min_voxels
+    ref = np.zeros(data.shape, dtype=bool)
+    ref[0:3, 0:3, 0] = True
+    _, _, oracle_t = _oracle_exam(data, ref, 0.1, 26, dynamic=params)
+    events = _counting(monkeypatch)
+    mask, t = dynamic_threshold(ProbVolume(data), params)
+    assert t == oracle_t == 0.7 - 4 * 0.1
+    assert np.array_equal(mask.data, data > oracle_t)
+    visited = [e for e in events if e != "label"]
+    assert visited == [0.7 - k * 0.1 for k in range(5)]
+    assert [int(np.count_nonzero(data > v)) for v in visited] == [3, 3, 9, 9, 13]
+    labeled = sum(np.count_nonzero(data > v) >= needed for v in visited[:-1]) + 1
+    assert events.count("label") == labeled == 3
+    assert events[-2:] == [t, "label"]
+
+
+@pytest.mark.parametrize("connectivity", [6, 18, 26])
+def test_label_is_the_same_for_every_memory_layout(connectivity):
+    rng = np.random.default_rng(14)
+    mask = rng.random((7, 5, 4)) < 0.15
+    wide = rng.random((14, 15, 8)) < 0.5  # the voxels the slice skips stay random
+    wide[::2, ::3, ::2] = mask
+    layouts = [np.ascontiguousarray(mask), np.asfortranarray(mask), wide[::2, ::3, ::2]]
+    assert not layouts[2].flags.c_contiguous and not layouts[2].flags.f_contiguous
+    want = detection._label(layouts[0], connectivity)
+    assert want.n > 1
+    for layout in layouts[1:]:
+        got = detection._label(layout, connectivity)
+        assert got.n == want.n
+        assert np.array_equal(got.index, want.index)
+        assert np.array_equal(got.label, want.label)
 
 
 # ---------------------------------------------------------------------------
