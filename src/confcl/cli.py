@@ -86,12 +86,22 @@ def _read_summaries(
     ]
 
 
+def _check_output_dirs(args: argparse.Namespace, *flags: str) -> None:
+    """Fail before any input is read, not after the work, when an output
+    given by one of these flags has no directory."""
+    for flag in flags:
+        path = getattr(args, flag[2:].replace("-", "_"))
+        if path is not None and not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+            raise FileNotFoundError(errno.ENOENT, f"no directory for {flag}", path)
+
+
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
 
 
 def _cmd_kernel(args: argparse.Namespace) -> int:
+    _check_output_dirs(args, "--out")
     summaries = _read_summaries(args, _parse_overrides(args))
     partition, kernel = bench.batch_loss_inputs(summaries, bench.variant_spec(args.variant))
     weights = kernel.weights if kernel is not None else np.zeros((0, 0))
@@ -125,6 +135,7 @@ def _load_views(args: argparse.Namespace) -> losses.ViewPairBatch:
 
 
 def _cmd_loss(args: argparse.Namespace) -> int:
+    _check_output_dirs(args, "--out")
     overrides = _parse_overrides(args)
     if overrides and args.metadata is None:
         raise ValueError("--epsilon-override needs --metadata")
@@ -203,6 +214,7 @@ def _cmd_gradcheck(args: argparse.Namespace) -> int:
 
 
 def _cmd_eval_detect(args: argparse.Namespace) -> int:
+    _check_output_dirs(args, "--out", "--csv")
     if len(args.prob) != len(args.ref):
         raise ValueError(
             f"{len(args.prob)} --prob files but {len(args.ref)} --ref files"
@@ -291,6 +303,7 @@ def _exam_entry(r: detection.ExamResult) -> dict:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    _check_output_dirs(args, "--out", "--cells-csv", "--summary-csv")
     if args.config is not None:
         with open(args.config, encoding="utf-8") as handle:
             try:
@@ -307,10 +320,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         config = dataclasses.replace(config, seed=args.seed)
     variants = _list_option(args.variants, "--variants", str)
     seeds = _list_option(args.seeds, "--seeds", int)
-    # Fail before the study runs, not after, when an output has no directory.
-    for flag, path in (("--out", args.out), ("--cells-csv", args.cells_csv), ("--summary-csv", args.summary_csv)):
-        if path is not None and not os.path.isdir(os.path.dirname(os.path.abspath(path))):
-            raise FileNotFoundError(errno.ENOENT, f"no directory for {flag}", path)
     report = bench.run_study(config, variants, seeds, args.workers)
     _print_json(report.as_dict(), args.out)
     if args.cells_csv is not None:

@@ -56,6 +56,9 @@ MSK_MAGIC = b"MSK1"
 
 METADATA_HEADER = ["exam_id", "source", "value"]
 
+# Cells per block of rows in write_matrix_csv.
+_CSV_BLOCK_CELLS = 2**15
+
 
 class FileFormatError(ValueError):
     """Malformed input file; carries the file name and a line or byte offset."""
@@ -176,18 +179,29 @@ def read_metadata_csv(path: str) -> list[AnnotationVector]:
 def write_matrix_csv(path: str, matrix: np.ndarray) -> None:
     """One line per row (a 1-D vector is one row), cells through fmt_float.
 
-    Each row formats its distinct values once and joins its cells by index
-    into them; kernel rows hold only a handful of distinct weights.  Values
-    are keyed on their bit pattern, so 0.0 and -0.0 keep their own text.
+    A NaN or infinity, which read_matrix_csv rejects, raises ValueError
+    naming its row and column before any file is made; an empty matrix
+    writes an empty file.  Rows go out in blocks of about _CSV_BLOCK_CELLS
+    cells (at least one row).  Each block formats its distinct values once
+    (kernel rows hold a handful) and gathers its cells by index into them,
+    so the temporaries scale with a block, not the matrix.  Values are
+    keyed on their bit pattern, so 0.0 and -0.0 keep their own text.
     """
     m = np.atleast_2d(np.asarray(matrix, dtype=np.float64))
     if m.ndim != 2:
         raise ValueError(f"matrix must be 1D or 2D, got shape {m.shape}")
+    # min and max propagate NaN, so this also finds NaN and +-inf.
+    if m.size and not (np.isfinite(m.min()) and np.isfinite(m.max())):
+        row, col = np.argwhere(~np.isfinite(m))[0]
+        raise ValueError(f"matrix cell at row {row}, column {col} is {m[row, col]}, not finite")
+    rows_per_block = max(1, _CSV_BLOCK_CELLS // max(1, m.shape[1]))
     with atomic_write(path) as handle:
-        for row in m:
-            bits, index = np.unique(row.view(np.uint64), return_inverse=True)
-            cells = [fmt_float(v) for v in bits.view(np.float64)]
-            handle.write(",".join([cells[i] for i in index.tolist()]) + "\n")
+        for start in range(0, m.shape[0], rows_per_block):
+            block = m[start : start + rows_per_block]
+            bits, index = np.unique(block.view(np.uint64), return_inverse=True)
+            cells = np.array([fmt_float(v) for v in bits.view(np.float64)], dtype=object)
+            for row in cells[index.reshape(block.shape)].tolist():
+                handle.write(",".join(row) + "\n")
 
 
 def read_matrix_csv(path: str) -> np.ndarray:

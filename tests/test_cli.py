@@ -155,14 +155,26 @@ def test_loss_epsilon_override_needs_metadata(capsys, tmp_path):
     assert json.loads(stderr)["message"] == "--epsilon-override needs --metadata"
 
 
-def test_kernel_out_in_a_missing_directory_names_the_target(capsys, tmp_path, metadata_csv):
-    out = tmp_path / "missing" / "k.csv"
-    code, stdout, stderr = _run(capsys, ["kernel", "--metadata", metadata_csv, "--out", str(out)])
+@pytest.mark.parametrize(
+    "command, flag",
+    [("kernel", "--out"), ("loss", "--out"), ("eval-detect", "--out"), ("eval-detect", "--csv")],
+)
+def test_output_in_a_missing_directory_fails_before_reading(capsys, tmp_path, command, flag):
+    # Every input is missing too, so a read before the check would fail on
+    # the input instead.
+    missing = str(tmp_path / "missing.in")
+    inputs = {
+        "kernel": ["--metadata", missing],
+        "loss": ["--x1", missing, "--x2", missing, "--metadata", missing],
+        "eval-detect": ["--prob", missing, "--ref", missing],
+    }[command]
+    target = tmp_path / "missing" / "r.out"
+    code, stdout, stderr = _run(capsys, [command, *inputs, flag, str(target)])
     assert (code, stdout) == (1, "")
     err = json.loads(stderr)
     assert err["error"] == "FileNotFoundError"
-    assert str(out) in err["message"]
-    assert ".tmp-confcl" not in err["message"]
+    assert f"no directory for {flag}" in err["message"] and str(target) in err["message"]
+    assert missing not in err["message"]
 
 
 @pytest.mark.parametrize("command", ["kernel", "loss"])

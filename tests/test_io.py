@@ -7,6 +7,7 @@ layouts are verified against independently struct-packed byte strings.
 import json
 import os
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -167,11 +168,11 @@ def _per_element_csv(matrix) -> bytes:
     return "".join(",".join(fmt_float(v) for v in row) + "\n" for row in rows).encode()
 
 
-def _kernel_300(variant: KernelVariant) -> np.ndarray:
-    """A 300-exam kernel over every confidence from 1 to 9 votes."""
+def _kernel(variant: KernelVariant, exams: int = 300) -> np.ndarray:
+    """A kernel over every confidence from 1 to 9 votes."""
     rng = np.random.default_rng(7)
     summaries = []
-    for i in range(300):
+    for i in range(exams):
         n = int(rng.integers(1, 10))
         votes = rng.integers(0, 2, n)
         ones = int(votes.sum())
@@ -186,10 +187,29 @@ def _kernel_300(variant: KernelVariant) -> np.ndarray:
 _NEG_NAN = np.array([0xFFF8000000000000], dtype=np.uint64).view(np.float64)[0]
 _PAYLOAD_NAN = np.array([0x7FF8000000000001], dtype=np.uint64).view(np.float64)[0]
 
+
+def _few_values(rows: int, cols: int, seed: int) -> np.ndarray:
+    """A rows x cols matrix drawn from a handful of weights, signed zeros included."""
+    values = np.array([0.0, -0.0, 1.0, 0.1, 1.0 / 3.0, 3.0 / 7.0, 5e-324])
+    return np.random.default_rng(seed).choice(values, (rows, cols))
+
+
+def _zeros_then_negative_zeros() -> np.ndarray:
+    """0.0 in the first 32 rows, -0.0 in the next 32 and a mix in the last."""
+    m = np.zeros((65, 1024))
+    m[32:64] = -0.0
+    m[64, 1::2] = -0.0
+    return m
+
+
+# 1024 columns make blocks of 32 rows, so 33 and 65 rows end on a short block.
 _MATRIX_CASES = {
     "signed zeros": np.array([[0.0, -0.0, 1.0, -0.0, 0.0], [-0.0, -0.0, 0.0, 0.0, -0.0]]),
-    "nans": np.array([[np.nan, _NEG_NAN, 1.0, _PAYLOAD_NAN, -np.nan, np.nan]]),
-    "infinities": np.array([[np.inf, -np.inf, 0.0], [-np.inf, np.inf, np.inf]]),
+    "signed zeros in separate blocks": _zeros_then_negative_zeros(),
+    "33 rows": _few_values(33, 1024, 45),
+    "65 rows": _few_values(65, 1024, 46),
+    "one wide row": _few_values(1, 5000, 47),
+    "one tall column": _few_values(2000, 1, 48),
     "subnormal": np.array([[5e-324, -5e-324, 0.0, 1e-310, 5e-324]]),
     "vector": np.array([0.1, 0.2, 0.1, 1.0 / 3.0]),
     "empty": np.zeros((0, 0)),
@@ -198,7 +218,7 @@ _MATRIX_CASES = {
     "transposed": (np.arange(12.0).reshape(3, 4) / 7.0).T,
     "big endian": (np.arange(6.0).reshape(2, 3) / 3.0).astype(">f8"),
     "all distinct": np.random.default_rng(44).normal(0, 1e3, (40, 30)),
-    **{f"kernel {v.value}": _kernel_300(v) for v in KernelVariant},
+    **{f"kernel {v.value}": _kernel(v) for v in KernelVariant},
 }
 
 
@@ -213,6 +233,43 @@ def test_matrix_csv_bytes_match_per_element_formatting(tmp_path, name):
 def test_matrix_csv_rejects_more_than_two_dimensions(tmp_path):
     with pytest.raises(ValueError, match="1D or 2D"):
         write_matrix_csv(str(tmp_path / "m.csv"), np.zeros((2, 2, 2)))
+
+
+@pytest.mark.parametrize(
+    "matrix, message",
+    [
+        (np.array([[1.0, np.nan], [np.inf, 0.0]]), "row 0, column 1 is nan"),
+        (np.array([[np.nan, _NEG_NAN, 1.0, _PAYLOAD_NAN, -np.nan, np.nan]]), "row 0, column 0 is nan"),
+        (np.array([[1.0, 2.0, 0.0], [-np.inf, np.inf, np.inf]]), "row 1, column 0 is -inf"),
+        (np.array([0.5, 0.25, np.inf]), "row 0, column 2 is inf"),
+    ],
+)
+def test_matrix_csv_refuses_non_finite_cells_and_leaves_no_file(tmp_path, matrix, message):
+    with pytest.raises(ValueError, match=message):
+        write_matrix_csv(str(tmp_path / "m.csv"), matrix)
+    assert os.listdir(tmp_path) == []
+
+
+def test_writer_in_a_missing_directory_names_the_target(tmp_path):
+    target = tmp_path / "missing" / "m.csv"
+    with pytest.raises(FileNotFoundError) as info:
+        write_matrix_csv(str(target), np.eye(2))
+    assert info.value.filename == str(target)
+    assert ".tmp-confcl" not in str(info.value)
+
+
+def test_matrix_csv_writer_memory_stays_near_one_block(tmp_path):
+    # The 1024 x 1024 matrix is itself 8 MB; one token table over the whole
+    # matrix peaks at about 40 MB.
+    matrix = _kernel(KernelVariant.PROPOSED, 1024)
+    assert matrix.shape == (1024, 1024)
+    tracemalloc.start()
+    try:
+        write_matrix_csv(str(tmp_path / "m.csv"), matrix)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 def test_fmt_float_survives_a_parse_round_trip():
