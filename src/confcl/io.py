@@ -32,9 +32,7 @@ __all__ = [
     "FileFormatError",
     "atomic_write",
     "fmt_float",
-    "read_metadata_rows",
     "write_metadata_rows",
-    "group_annotations",
     "read_metadata_csv",
     "write_matrix_csv",
     "read_matrix_csv",
@@ -108,9 +106,18 @@ def fmt_float(x: float) -> str:
 # ---------------------------------------------------------------------------
 
 
-def read_metadata_rows(path: str) -> list[RawAnnotation]:
-    """Parse an exam_id,source,value CSV into validated annotation rows."""
-    rows: list[RawAnnotation] = []
+def write_metadata_rows(path: str, rows: list[RawAnnotation]) -> None:
+    write_csv_table(path, METADATA_HEADER, [(r.exam_id, r.source.value, r.value) for r in rows])
+
+
+def read_metadata_csv(path: str) -> list[AnnotationVector]:
+    """An exam_id,source,value CSV as per-exam vote vectors, exams in
+    first-appearance order, each row checked as it is read.
+
+    Equivocal scores binarize to an abstention and contribute no vote,
+    but the exam still appears (possibly with an empty vector).
+    """
+    exams: dict[str, tuple[list[int], list[Source]]] = {}  # insertion order is first appearance
     with open(path, encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle)
         header = next(reader, None)
@@ -139,36 +146,14 @@ def read_metadata_rows(path: str) -> list[RawAnnotation]:
                     f"value {value_str!r} is not an integer", path, lineno
                 ) from None
             try:
-                rows.append(RawAnnotation(exam_id, source, value))
+                vote = binarize(source, value)
             except AnnotationError as exc:
-                raise FileFormatError(str(exc), path, lineno) from None
-    return rows
-
-
-def write_metadata_rows(path: str, rows: list[RawAnnotation]) -> None:
-    write_csv_table(path, METADATA_HEADER, [(r.exam_id, r.source.value, r.value) for r in rows])
-
-
-def group_annotations(rows: list[RawAnnotation]) -> list[AnnotationVector]:
-    """Collapse rows into per-exam vote vectors, exams in first-appearance order.
-
-    Equivocal scores binarize to an abstention and contribute no vote,
-    but the exam still appears (possibly with an empty vector).
-    """
-    exams: dict[str, list[tuple[int, Source]]] = {}  # insertion order is first appearance
-    for row in rows:
-        pairs = exams.setdefault(row.exam_id, [])
-        vote = binarize(row.source, row.value)
-        if vote is not None:
-            pairs.append((vote, row.source))
-    return [
-        AnnotationVector(eid, tuple(v for v, _ in pairs), tuple(s for _, s in pairs))
-        for eid, pairs in exams.items()
-    ]
-
-
-def read_metadata_csv(path: str) -> list[AnnotationVector]:
-    return group_annotations(read_metadata_rows(path))
+                raise FileFormatError(f"exam {exam_id!r}: {exc}", path, lineno) from None
+            votes, sources = exams.setdefault(exam_id, ([], []))
+            if vote is not None:
+                votes.append(vote)
+                sources.append(source)
+    return [AnnotationVector(eid, tuple(v), tuple(s)) for eid, (v, s) in exams.items()]
 
 
 # ---------------------------------------------------------------------------

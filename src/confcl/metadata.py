@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -63,19 +62,17 @@ class KernelVariant(enum.Enum):
 
 @dataclass(frozen=True)
 class RawAnnotation:
-    """One score attached to one exam, validated at construction."""
+    """One score attached to one exam, checked by binarize at construction."""
 
     exam_id: str
     source: Source
     value: int
 
     def __post_init__(self) -> None:
-        lo, hi = PIRADS_RANGE if self.source is Source.PIRADS else ISUP_RANGE
-        if not (lo <= self.value <= hi):
-            raise AnnotationError(
-                f"exam {self.exam_id!r}: {self.source.value} value {self.value} "
-                f"outside [{lo}, {hi}]"
-            )
+        try:
+            binarize(self.source, self.value)
+        except AnnotationError as exc:
+            raise AnnotationError(f"exam {self.exam_id!r}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -172,19 +169,20 @@ def binarize(source: Source, value: int) -> int | None:
     PI-RADS 1-2 vote 0, PI-RADS 4-5 vote 1, and PI-RADS 3 abstains
     (returns None): an equivocal read contributes no vote.  ISUP grades
     at most 1 vote 0 and grades 2 and above vote 1; there is no ISUP
-    abstention.  Out-of-range values are rejected.
+    abstention.  Out-of-range values and a source that is not a Source
+    raise AnnotationError; this is the one place those rules live.
     """
     if source is Source.PIRADS:
-        if not (PIRADS_RANGE[0] <= value <= PIRADS_RANGE[1]):
-            raise AnnotationError(f"pirads value {value} outside {PIRADS_RANGE}")
-        if value == 3:
-            return None
-        return 0 if value <= 2 else 1
+        lo, hi = PIRADS_RANGE
+    elif source is Source.ISUP:
+        lo, hi = ISUP_RANGE
+    else:
+        raise AnnotationError(f"unknown source {source!r}")
+    if not (lo <= value <= hi):
+        raise AnnotationError(f"{source.value} value {value} outside [{lo}, {hi}]")
     if source is Source.ISUP:
-        if not (ISUP_RANGE[0] <= value <= ISUP_RANGE[1]):
-            raise AnnotationError(f"isup value {value} outside {ISUP_RANGE}")
         return 0 if value <= 1 else 1
-    raise AnnotationError(f"unknown source {source!r}")
+    return None if value == 3 else 0 if value <= 2 else 1
 
 
 def check_epsilon(epsilon: float, name: str = "epsilon") -> float:
@@ -192,6 +190,15 @@ def check_epsilon(epsilon: float, name: str = "epsilon") -> float:
     if not (0.0 < epsilon <= 1.0):
         raise AnnotationError(f"{name} {epsilon} outside (0, 1]")
     return epsilon
+
+
+def _confidence(ones: int, n: int, epsilon: float) -> float:
+    """Confidence of n >= 1 votes, ones of them 1: epsilon for a single vote,
+    else (2 * majority - n) / n, which int true division rounds once."""
+    check_epsilon(epsilon)
+    if n == 1:
+        return epsilon
+    return (2 * max(ones, n - ones) - n) / n
 
 
 def confidence(votes: tuple[int, ...] | list[int], epsilon: float = DEFAULT_EPSILON) -> float:
@@ -205,25 +212,16 @@ def confidence(votes: tuple[int, ...] | list[int], epsilon: float = DEFAULT_EPSI
     n = len(votes)
     if n == 0:
         raise AnnotationError("confidence of an empty vote vector is undefined")
-    check_epsilon(epsilon)
-    if n == 1:
-        return epsilon
-    ones = sum(1 for v in votes if v == 1)
-    majority_count = max(ones, n - ones)
-    return float(Fraction(2 * majority_count - n, n))
+    return _confidence(sum(1 for v in votes if v == 1), n, epsilon)
 
 
 def summarize(vector: AnnotationVector, epsilon: float = DEFAULT_EPSILON) -> MetadataSummary:
     """Collapse an exam's votes to a labeled or unlabeled summary; empty
     vectors and exact ties are unlabeled."""
-    if vector.n == 0:
+    n, ones = vector.n, sum(vector.votes)
+    if 2 * ones == n:
         return MetadataSummary.unlabeled(vector.exam_id)
-    ones = sum(vector.votes)
-    zeros = vector.n - ones
-    if ones == zeros:
-        return MetadataSummary.unlabeled(vector.exam_id)
-    label = 1 if ones > zeros else 0
-    return MetadataSummary.labeled(vector.exam_id, label, confidence(vector.votes, epsilon))
+    return MetadataSummary.labeled(vector.exam_id, int(2 * ones > n), _confidence(ones, n, epsilon))
 
 
 def summarize_batch(vectors: list[AnnotationVector], epsilon: float = DEFAULT_EPSILON) -> list[MetadataSummary]:

@@ -21,12 +21,10 @@ from confcl.io import (
     ProbVolume,
     atomic_write,
     fmt_float,
-    group_annotations,
     read_embeddings,
     read_mask,
     read_matrix_csv,
     read_metadata_csv,
-    read_metadata_rows,
     read_volume,
     write_csv_table,
     write_embeddings,
@@ -37,6 +35,7 @@ from confcl.io import (
     write_volume,
 )
 from confcl.metadata import (
+    AnnotationVector,
     KernelVariant,
     MetadataSummary,
     RawAnnotation,
@@ -59,14 +58,17 @@ def test_metadata_rows_round_trip(tmp_path):
     ]
     path = str(tmp_path / "meta.csv")
     write_metadata_rows(path, rows)
-    assert read_metadata_rows(path) == rows
+    assert read_metadata_csv(path) == [
+        AnnotationVector("a", (1, 0), (Source.PIRADS, Source.ISUP)),
+        AnnotationVector("b"),
+    ]
 
 
 def test_metadata_header_is_required(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("id,src,val\na,pirads,4\n")
     with pytest.raises(FileFormatError) as info:
-        read_metadata_rows(str(path))
+        read_metadata_csv(str(path))
     assert info.value.line == 1
     assert info.value.file == str(path)
 
@@ -84,25 +86,23 @@ def test_metadata_bad_rows_name_file_and_line(tmp_path, row, fragment):
     path = tmp_path / "bad.csv"
     path.write_text(f"exam_id,source,value\nb,isup,2\n{row}\n")
     with pytest.raises(FileFormatError, match=fragment) as info:
-        read_metadata_rows(str(path))
+        read_metadata_csv(str(path))
     assert info.value.line == 3
 
 
-def test_group_annotations_keeps_first_appearance_order():
-    rows = [
-        RawAnnotation("b", Source.PIRADS, 4),
-        RawAnnotation("a", Source.ISUP, 0),
-        RawAnnotation("b", Source.PIRADS, 1),
-    ]
-    vectors = group_annotations(rows)
+def test_read_metadata_csv_keeps_first_appearance_order(tmp_path):
+    path = tmp_path / "meta.csv"
+    path.write_text("exam_id,source,value\nb,pirads,4\na,isup,0\nb,pirads,1\n")
+    vectors = read_metadata_csv(str(path))
     assert [v.exam_id for v in vectors] == ["b", "a"]
     assert vectors[0].votes == (1, 0)
     assert vectors[1].votes == (0,)
 
 
-def test_group_annotations_drops_abstentions_but_keeps_the_exam():
-    rows = [RawAnnotation("only3", Source.PIRADS, 3)]
-    vectors = group_annotations(rows)
+def test_read_metadata_csv_drops_abstentions_but_keeps_the_exam(tmp_path):
+    path = tmp_path / "meta.csv"
+    path.write_text("exam_id,source,value\nonly3,pirads,3\n")
+    vectors = read_metadata_csv(str(path))
     assert len(vectors) == 1
     assert vectors[0].exam_id == "only3"
     assert vectors[0].votes == ()

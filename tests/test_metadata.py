@@ -94,6 +94,23 @@ def test_raw_annotation_validates_and_names_the_exam():
         RawAnnotation("bad-exam", Source.ISUP, 9)
 
 
+@pytest.mark.parametrize(
+    "source,value,message",
+    [
+        # A str is not a Source, so it is rejected, not checked against a range.
+        ("pirads", 0, "exam 'a': unknown source 'pirads'"),
+        ("pirads", 4, "exam 'a': unknown source 'pirads'"),
+        (None, 1, "exam 'a': unknown source None"),
+        (Source.PIRADS, 0, "exam 'a': pirads value 0 outside [1, 5]"),
+        (Source.ISUP, -1, "exam 'a': isup value -1 outside [0, 5]"),
+    ],
+)
+def test_raw_annotation_rejects_what_binarize_rejects(source, value, message):
+    with pytest.raises(AnnotationError) as info:
+        RawAnnotation("a", source, value)
+    assert str(info.value) == message
+
+
 def test_annotation_vector_rejects_misaligned_sources():
     with pytest.raises(AnnotationError):
         AnnotationVector("e", (1, 0), (Source.PIRADS,))
