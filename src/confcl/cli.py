@@ -68,9 +68,12 @@ def _read_summaries(
 ) -> list[metadata.MetadataSummary]:
     """The --metadata CSV's exams, in first-appearance order, each summarized
     with its --epsilon-override, else 1 if it has a vote from --biopsy-source,
-    else --epsilon.  The biopsy variant trusts isup votes unless
-    --biopsy-source names another source; an override pins only its own
-    exam, and one that names an exam the CSV lacks is an error."""
+    else --epsilon.  That epsilon is only the single-vote confidence: an
+    exam with two or more votes keeps its agreement confidence whatever
+    their sources, so the trusted source fully trusts only a lone vote.
+    The biopsy variant trusts isup votes unless --biopsy-source names
+    another source; an override pins only its own exam, and one that names
+    an exam the CSV lacks is an error."""
     vectors = cio.read_metadata_csv(args.metadata)
     exam_ids = {vec.exam_id for vec in vectors}
     for exam_id in overrides:
@@ -305,11 +308,7 @@ def _exam_entry(r: detection.ExamResult) -> dict:
 def _cmd_simulate(args: argparse.Namespace) -> int:
     _check_output_dirs(args, "--out", "--cells-csv", "--summary-csv")
     if args.config is not None:
-        with open(args.config, encoding="utf-8") as handle:
-            try:
-                raw = json.load(handle)
-            except json.JSONDecodeError as exc:
-                raise cio.FileFormatError(exc.msg, args.config, exc.lineno) from None
+        raw = cio.read_json(args.config)
         try:
             config = bench.config_from_dict(raw)
         except (TypeError, ValueError) as exc:
@@ -395,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--biopsy-source",
             choices=[s.value for s in metadata.Source],
             default=None,
-            help="trust every exam with a vote from this source fully (epsilon 1)",
+            help="single-vote confidence 1 for an exam whose lone vote is from this source",
         )
 
     p_kernel = sub.add_parser("kernel", help="pair-weight matrix from annotations")

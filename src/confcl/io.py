@@ -1,8 +1,11 @@
 """File formats: annotation CSVs, embedding pairs, volumes, masks, reports.
 
 Binary formats carry a 4-byte magic plus little-endian dimension header;
-text formats are UTF-8 with LF newlines and comma separators.  Numeric
-CSV cells use 17 significant digits so 64-bit values round-trip exactly.
+text formats are UTF-8 with LF newlines and comma separators, and a
+text reader reports a byte that is not UTF-8 as a FileFormatError
+naming the file and its line.  The annotation CSV reader checks,
+binarizes and groups rows in one pass.  Numeric CSV cells use 17
+significant digits so 64-bit values round-trip exactly.
 All writers go through a temp-file-plus-rename so readers never observe
 a partial file, and the renamed file gets the mode the umask allows.
 ``ProbVolume`` and ``BinaryMask`` alone state what VOL1 and MSK1 files hold:
@@ -19,7 +22,7 @@ import math
 import os
 import struct
 import tempfile
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -44,6 +47,7 @@ __all__ = [
     "read_volume",
     "write_mask",
     "read_mask",
+    "read_json",
     "write_json_atomic",
     "write_csv_table",
 ]
@@ -101,6 +105,29 @@ def fmt_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _text_lines(path: str, newline: str | None = None) -> Iterator[str]:
+    """The lines of open(path, encoding="utf-8", newline=newline); a byte
+    that is not UTF-8 raises a FileFormatError naming its line."""
+    with open(path, encoding="utf-8", newline=newline) as handle:
+        try:
+            yield from handle
+        except UnicodeDecodeError:
+            raise _not_utf8(path) from None
+
+
+def _not_utf8(path: str) -> FileFormatError:
+    """The error for path's first byte that is not UTF-8.  A text reader
+    decodes ahead in chunks, so its offsets are found again in the bytes."""
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        return FileFormatError(f"not UTF-8 at byte {exc.start}: {exc.reason}", path, line)
+    return FileFormatError("not UTF-8 when first read", path)  # the file changed since
+
+
 # ---------------------------------------------------------------------------
 # Annotation CSV
 # ---------------------------------------------------------------------------
@@ -118,8 +145,8 @@ def read_metadata_csv(path: str) -> list[AnnotationVector]:
     but the exam still appears (possibly with an empty vector).
     """
     exams: dict[str, tuple[list[int], list[Source]]] = {}  # insertion order is first appearance
-    with open(path, encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
+    reader = csv.reader(_text_lines(path, newline=""))
+    try:
         header = next(reader, None)
         if header != METADATA_HEADER:
             raise FileFormatError(
@@ -153,6 +180,8 @@ def read_metadata_csv(path: str) -> list[AnnotationVector]:
             if vote is not None:
                 votes.append(vote)
                 sources.append(source)
+    except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
+        raise FileFormatError(str(exc), path, reader.line_num) from None
     return [AnnotationVector(eid, tuple(v), tuple(s)) for eid, (v, s) in exams.items()]
 
 
@@ -191,20 +220,19 @@ def write_matrix_csv(path: str, matrix: np.ndarray) -> None:
 
 def read_matrix_csv(path: str) -> np.ndarray:
     rows: list[list[float]] = []
-    with open(path, encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            try:
-                row = [float(cell) for cell in line.split(",")]
-            except ValueError:
-                raise FileFormatError("non-numeric cell", path, lineno) from None
-            if not all(map(math.isfinite, row)):
-                raise FileFormatError("non-finite cell", path, lineno)
-            if rows and len(row) != len(rows[0]):
-                raise FileFormatError(f"ragged rows: {len(row)} cells, not {len(rows[0])}", path, lineno)
-            rows.append(row)
+    for lineno, raw in enumerate(_text_lines(path), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        try:
+            row = [float(cell) for cell in line.split(",")]
+        except ValueError:
+            raise FileFormatError("non-numeric cell", path, lineno) from None
+        if not all(map(math.isfinite, row)):
+            raise FileFormatError("non-finite cell", path, lineno)
+        if rows and len(row) != len(rows[0]):
+            raise FileFormatError(f"ragged rows: {len(row)} cells, not {len(rows[0])}", path, lineno)
+        rows.append(row)
     if not rows:
         raise FileFormatError("empty matrix", path)
     return np.asarray(rows, dtype=np.float64)
@@ -343,6 +371,14 @@ def read_mask(path: str) -> BinaryMask:
 # ---------------------------------------------------------------------------
 # Reports
 # ---------------------------------------------------------------------------
+
+
+def read_json(path: str):
+    """A UTF-8 JSON file's value; bad bytes or bad JSON raise FileFormatError."""
+    try:
+        return json.loads("".join(_text_lines(path)))
+    except json.JSONDecodeError as exc:
+        raise FileFormatError(exc.msg, path, exc.lineno) from None
 
 
 def write_json_atomic(path: str, payload: dict) -> None:

@@ -108,10 +108,6 @@ class ViewPairBatch:
     def n(self) -> int:
         return self.x1.shape[0]
 
-    @property
-    def dim(self) -> int:
-        return self.x1.shape[1]
-
 
 @dataclass(frozen=True)
 class BatchPartition:
@@ -150,9 +146,6 @@ class LossBreakdown:
     n_labeled: int = 0
     n_unlabeled: int = 0
     total: float = 0.0
-
-    def term(self, name: str) -> float:
-        return float(getattr(self, name))
 
     def as_dict(self) -> dict:
         return dict(vars(self), present=sorted(self.present), skipped=sorted(self.skipped))

@@ -80,6 +80,28 @@ def test_kernel_biopsy_trusts_isup_exams(capsys, tmp_path, metadata_csv):
     assert got[1, 0] == conf_a
 
 
+def test_kernel_biopsy_trusts_only_a_lone_isup_vote(capsys, tmp_path):
+    # a's ISUP 3 sits beside two disagreeing PI-RADS reads, so a keeps its
+    # agreement confidence 1/3; b's lone ISUP vote is trusted at 1.  c's
+    # two agreeing votes give it confidence 1, so row c reads a and b.
+    meta = _write_metadata(
+        tmp_path / "meta.csv",
+        [
+            ("a", "pirads", 5),
+            ("a", "pirads", 1),
+            ("a", "isup", 3),
+            ("b", "isup", 2),
+            ("c", "pirads", 5),
+            ("c", "pirads", 4),
+        ],
+    )
+    out = tmp_path / "kernel.csv"
+    code, _, _ = _run(capsys, ["kernel", "--metadata", meta, "--variant", "biopsy", "--out", str(out)])
+    assert code == 0
+    got = cio.read_matrix_csv(str(out))
+    assert (got[2, 0], got[2, 1]) == (float(Fraction(1, 3)), 1.0)
+
+
 def test_kernel_epsilon_override_flag(capsys, tmp_path, metadata_csv):
     out = tmp_path / "kernel.csv"
     code, _, _ = _run(
@@ -259,6 +281,23 @@ def test_kernel_malformed_metadata_exits_1(capsys, tmp_path):
     assert err["line"] == 3
 
 
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        (b"exam_id,source,value\n" + b"x" * 200_000 + b",pirads,4\n", "field larger than field limit"),
+        (b"exam_id,source,value\na\xff,pirads,4\n", "not UTF-8 at byte 22"),
+    ],
+)
+def test_kernel_unreadable_metadata_exits_1_with_an_error_json(capsys, tmp_path, body, message):
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(body)
+    code, _, stderr = _run(capsys, ["kernel", "--metadata", str(bad), "--out", str(tmp_path / "k.csv")])
+    assert code == 1
+    err = json.loads(stderr)
+    assert (err["error"], err["file"], err["line"]) == ("FileFormatError", str(bad), 2)
+    assert message in err["message"]
+
+
 # ---------------------------------------------------------------------------
 # loss
 
@@ -364,6 +403,18 @@ def test_loss_non_finite_view_csv_exits_1_naming_file_and_line(capsys, tmp_path)
     assert err["error"] == "FileFormatError"
     assert (err["file"], err["line"]) == (p1, 2)
     assert "non-finite cell" in err["message"]
+
+
+def test_loss_non_utf8_view_csv_exits_1_naming_file_and_line(capsys, tmp_path):
+    _, _, p1, p2 = _write_views(tmp_path)
+    with open(p2, "ab") as handle:
+        handle.write(b"\xff\n")
+    code, stdout, stderr = _run(capsys, ["loss", "--x1", p1, "--x2", p2])
+    assert code == 1
+    assert stdout == ""
+    err = json.loads(stderr)
+    assert (err["error"], err["file"], err["line"]) == ("FileFormatError", p2, 4)
+    assert "not UTF-8" in err["message"]
 
 
 def test_loss_non_finite_result_exits_1_and_writes_nothing(capsys, tmp_path):
@@ -870,6 +921,16 @@ def test_simulate_rejects_invalid_json(capsys, tmp_path):
     err = json.loads(stderr)
     assert err["error"] == "FileFormatError"
     assert err["line"] == 1
+
+
+def test_simulate_rejects_a_non_utf8_config(capsys, tmp_path):
+    path = tmp_path / "config.json"
+    path.write_bytes(b'{\n"n_exams": 64,\n"epochs": "\xff"}\n')
+    code, _, stderr = _run(capsys, ["simulate", "--config", str(path)])
+    assert code == 1
+    err = json.loads(stderr)
+    assert (err["error"], err["file"], err["line"]) == ("FileFormatError", str(path), 3)
+    assert "not UTF-8" in err["message"]
 
 
 @pytest.mark.parametrize(

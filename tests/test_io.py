@@ -24,6 +24,7 @@ from confcl.io import (
     read_embeddings,
     read_mask,
     read_matrix_csv,
+    read_json,
     read_metadata_csv,
     read_volume,
     write_csv_table,
@@ -106,6 +107,35 @@ def test_read_metadata_csv_drops_abstentions_but_keeps_the_exam(tmp_path):
     assert len(vectors) == 1
     assert vectors[0].exam_id == "only3"
     assert vectors[0].votes == ()
+
+
+def test_read_metadata_csv_over_long_field_names_file_and_line(tmp_path):
+    path = tmp_path / "meta.csv"
+    path.write_text("exam_id,source,value\na,pirads,4\n" + "x" * 200_000 + ",pirads,4\n")
+    with pytest.raises(FileFormatError, match="field larger than field limit") as info:
+        read_metadata_csv(str(path))
+    assert (info.value.file, info.value.line) == (str(path), 3)
+
+
+@pytest.mark.parametrize(
+    "reader, body",
+    [
+        (read_metadata_csv, b"exam_id,source,value\na,pirads,4\nb\xff,isup,2\n"),
+        (read_matrix_csv, b"1.0,2.0\n3.0,\xff\n"),
+        # Past the first chunk the text decoder reads ahead, so its own
+        # offset would not give the line.
+        (read_matrix_csv, b"1.0,2.0\n" * 5000 + b"3.0,\xff\n"),
+        (read_json, b'{\n"n_exams": "\xff"}\n'),
+    ],
+)
+def test_text_readers_name_file_line_and_byte_of_non_utf8_input(tmp_path, reader, body):
+    path = tmp_path / "input"
+    path.write_bytes(body)
+    with pytest.raises(FileFormatError) as info:
+        reader(str(path))
+    offset = body.index(b"\xff")
+    assert (info.value.file, info.value.line) == (str(path), body.count(b"\n", 0, offset) + 1)
+    assert info.value.reason == f"not UTF-8 at byte {offset}: invalid start byte"
 
 
 def test_read_metadata_csv_mixes_sources(tmp_path):

@@ -109,7 +109,7 @@ def observe(name: str, n: int) -> dict:
     b = evaluate_loss(kind, batch, **args)
     g = loss_gradient(kind, batch, **args)
     return {
-        "terms": {t: b.term(t) for t in sorted(b.present)},
+        "terms": {t: getattr(b, t) for t in sorted(b.present)},
         "total": b.total,
         "present": sorted(b.present),
         "skipped": sorted(b.skipped),
