@@ -23,9 +23,11 @@ from .losses import (
     BatchPartition,
     LossBreakdown,
     ViewPairBatch,
+    _breakdown,
     _decoupled_groups,
     _evaluate,
     _gradient,
+    _total,
     pairwise_distances,
     partition_batch,
 )
@@ -289,14 +291,19 @@ def augment(features: np.ndarray, sigma: float, rng: np.random.Generator) -> np.
 
 
 def normalize_rows(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Rows scaled to unit L2 norm, and the (N,) norms sqrt(|z_i|^2 + EPS_NORM^2)."""
-    norms = np.sqrt((z * z).sum(axis=1) + EPS_NORM**2)
-    return z / norms[:, None], norms
+    """Rows (along the last axis) scaled to unit L2 norm, and the norms
+    sqrt(|z_i|^2 + EPS_NORM^2)."""
+    norms = np.sqrt((z * z).sum(axis=-1) + EPS_NORM**2)
+    return z / norms[..., None], norms
 
 
 @dataclass
 class Encoder:
-    """Affine -> tanh -> affine, with optional output row normalization."""
+    """Affine -> tanh -> affine, with optional output row normalization.
+
+    ``forward`` and ``backward`` take one (B, ·) view or a (V, B, ·) stack of
+    views; each view's products and row sums are the 2-D call's, bit for bit.
+    """
 
     w1: np.ndarray
     b1: np.ndarray
@@ -331,25 +338,29 @@ class Encoder:
         return self.forward(np.asarray(x, dtype=np.float64))[0]
 
     def backward(self, cache: dict, grad_emb: np.ndarray) -> dict[str, np.ndarray]:
-        """Parameter gradients for one view given d(loss)/d(embedding)."""
+        """Parameter gradients given d(loss)/d(embedding).
+
+        For a stack each view's gradient is reduced over its own rows, and
+        the views' gradients are then added in view order.
+        """
         x, h, z, norms = cache["x"], cache["h"], cache["z"], cache["norms"]
         if self.normalize:
             # emb = z / n with n = sqrt(|z|^2 + eps^2):
             # d(emb)/dz = I/n - z z^T / n^3.
-            dot = (grad_emb * z).sum(axis=1)
-            gz = grad_emb / norms[:, None] - z * (dot / norms**3)[:, None]
+            dot = (grad_emb * z).sum(axis=-1)
+            gz = grad_emb / norms[..., None] - z * (dot / norms**3)[..., None]
         else:
             gz = grad_emb
-        gw2 = h.T @ gz
-        gb2 = gz.sum(axis=0)
-        gh = gz @ self.w2.T
-        ga = gh * (1.0 - h * h)
-        return {
-            "w1": x.T @ ga,
-            "b1": ga.sum(axis=0),
-            "w2": gw2,
-            "b2": gb2,
+        ga = (gz @ self.w2.T) * (1.0 - h * h)
+        grads = {
+            "w1": np.swapaxes(x, -1, -2) @ ga,
+            "b1": ga.sum(axis=-2),
+            "w2": np.swapaxes(h, -1, -2) @ gz,
+            "b2": gz.sum(axis=-2),
         }
+        if gz.ndim == 3:
+            return {key: val.sum(axis=0) for key, val in grads.items()}
+        return grads
 
     def params(self) -> dict[str, np.ndarray]:
         return {"w1": self.w1, "b1": self.b1, "w2": self.w2, "b2": self.b2}
@@ -394,7 +405,7 @@ class StudyCell(NamedTuple):
         block = rows[labeled]
         w = self.weights[block[:, None], block] if len(block) else None
         return _decoupled_groups(
-            np.flatnonzero(labeled), np.flatnonzero(~labeled), w, self.spec.global_uniformity
+            labeled.nonzero()[0], (~labeled).nonzero()[0], w, self.spec.global_uniformity
         )
 
 
@@ -409,11 +420,22 @@ def study_cell(config: SynthConfig, dataset: SynthDataset, variant: str) -> Stud
     return StudyCell(dataset, spec, block_row, kernel.weights if kernel else None)
 
 
+def _paired_rows(order: np.ndarray, batch_size: int) -> np.ndarray:
+    """order cut into batches, each batch's rows twice in a row: view 1, view 2."""
+    cut = len(order) - len(order) % batch_size
+    tail = order[cut:]
+    whole = np.repeat(order[:cut].reshape(-1, 1, batch_size), 2, axis=1)
+    return np.concatenate((whole.ravel(), tail, tail))
+
+
 def train(
     config: SynthConfig, cell: StudyCell, rng: np.random.Generator
 ) -> tuple[Encoder, list[float]]:
     """SGD on the cell's decoupled loss over augmented view pairs.
 
+    An epoch draws all its augmentation noise in one call, batch by batch
+    and view 1 before view 2, which are the values one draw per view would
+    give; a step runs the encoder once on its (2, B, ·) stack of views.
     Returns the trained encoder and per-epoch mean batch losses.  Raises
     TrainingDivergedError on the first non-finite embedding, loss or gradient.
     """
@@ -429,34 +451,28 @@ def train(
     epoch_losses: list[float] = []
     for epoch in range(config.epochs):
         order = rng.permutation(n)
+        rows = _paired_rows(order, config.batch_size)
+        views = augment(cell.dataset.features[rows], config.aug_sigma, rng)
         batch_losses: list[float] = []
         for batch_index, start in enumerate(range(0, n, config.batch_size)):
             idx = order[start : start + config.batch_size]
-            feats = cell.dataset.features[idx]
-            v1 = augment(feats, config.aug_sigma, rng)
-            v2 = augment(feats, config.aug_sigma, rng)
-            e1, cache1 = encoder.forward(v1)
-            e2, cache2 = encoder.forward(v2)
+            x = views[2 * start : 2 * (start + len(idx))].reshape(2, len(idx), -1)
+            emb, cache = encoder.forward(x)
             try:
-                batch = ViewPairBatch(e1, e2)
+                batch = ViewPairBatch(emb[0], emb[1])
             except ValueError as exc:  # the views' shapes match, so only non-finite values fail
                 raise TrainingDivergedError(epoch, batch_index, None) from exc
-            grads = _gradient(batch, cell.groups(idx))
-            breakdown = grads.breakdown
-            if not (
-                np.isfinite(breakdown.total)
-                and np.isfinite(grads.g1).all()
-                and np.isfinite(grads.g2).all()
-            ):
-                raise TrainingDivergedError(epoch, batch_index, breakdown)
-            pgrads = encoder.backward(cache1, grads.g1)
-            for key, val in encoder.backward(cache2, grads.g2).items():
-                pgrads[key] += val
+            groups = cell.groups(idx)
+            terms, grad = _gradient(batch, groups)
+            total = _total(terms)
+            if not (np.isfinite(total) and np.isfinite(grad).all()):
+                raise TrainingDivergedError(epoch, batch_index, _breakdown(groups, terms))
+            pgrads = encoder.backward(cache, grad)
             params = encoder.params()
             for key in params:
                 velocity[key] = config.momentum * velocity[key] - config.learning_rate * pgrads[key]
                 params[key] += velocity[key]
-            batch_losses.append(breakdown.total)
+            batch_losses.append(total)
         epoch_losses.append(float(np.mean(batch_losses)) if batch_losses else 0.0)
     return encoder, epoch_losses
 
@@ -579,7 +595,8 @@ def _evaluate_cell(
     off = ~np.eye(batch.n, dtype=bool)
     unif = float(np.log(np.exp(-d[off]).mean())) if batch.n >= 2 else 0.0
     # The decoupled loss over every exam reads the diagnostics' distance matrix.
-    breakdown = _evaluate(d, cell.groups(np.arange(batch.n)))[0]
+    groups = cell.groups(np.arange(batch.n))
+    breakdown = _breakdown(groups, _evaluate(d, groups)[0])
     return align, unif, breakdown
 
 

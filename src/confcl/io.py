@@ -154,9 +154,10 @@ def read_metadata_csv(path: str) -> list[AnnotationVector]:
                 path,
                 1,
             )
-        for lineno, row in enumerate(reader, start=2):
+        for row in reader:
             if not row:
                 continue
+            lineno = reader.line_num  # a quoted field may span lines; this is the row's last
             if len(row) != 3:
                 raise FileFormatError(f"expected 3 fields, got {len(row)}", path, lineno)
             exam_id, source_str, value_str = row

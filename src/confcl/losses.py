@@ -22,10 +22,11 @@ their groups:
   and no cross A-U pair appears.  A zero repulsion sum (every weight 1,
   or |U| = 1) is skipped and recorded instead of fed to log.
 
-One evaluator turns the distance matrix and the groups into the
-LossBreakdown and, when a gradient is wanted, into the per-pair
+One evaluator turns the distance matrix and the groups into plain
+per-term values and, when a gradient is wanted, into the per-pair
 coefficients C_ij = d(total)/d(d_ij); ``loss_gradient`` returns both from
-a single distance build.  The analytic gradients are checked against
+a single distance build.  A LossBreakdown is built from the term values
+only where one is read.  The analytic gradients are checked against
 central finite differences.
 
 The public functions validate their arguments (partition cover, kernel
@@ -189,6 +190,17 @@ def pairwise_distances(batch: ViewPairBatch) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+# Identity blocks of groups up to this size (training batches, evaluated
+# at every step) are read-only slices of this one array; a larger group is
+# evaluated once and builds its own, so nothing its size outlives the call.
+_SHARED_EYE = np.eye(64)
+_SHARED_EYE.flags.writeable = False
+
+
+def _eye(m: int) -> np.ndarray:
+    return _SHARED_EYE[:m, :m] if m <= len(_SHARED_EYE) else np.eye(m)
+
+
 class _Group(NamedTuple):
     """Batch rows with their alignment and repulsion weights.
 
@@ -222,7 +234,7 @@ def _groups(
     """The row groups of one loss variant over a batch of n rows."""
     if kind == "nce":
         names = (ALIGN_UNLABELED, UNIF_UNLABELED)
-        return [_Group(np.arange(n), np.eye(n), np.ones((n, n)), names, False)]
+        return [_Group(np.arange(n), _eye(n), np.ones((n, n)), names, False)]
     if kind == "conditional":
         w = _kernel_weights(kernel, n, "conditional loss")
         return [_Group(np.arange(n), w, 1.0 - w, (ALIGN_LABELED, UNIF_LABELED), False)]
@@ -246,31 +258,30 @@ def _decoupled_groups(
     groups = []
     if len(labeled):
         # Global uniformity repels every distinct labeled pair at weight 1.
-        repel = 1.0 - (np.eye(len(w)) if global_uniformity else w)
+        repel = 1.0 - (_eye(len(w)) if global_uniformity else w)
         groups.append(_Group(labeled, w, repel, (ALIGN_LABELED, UNIF_LABELED), True))
     if len(unlabeled):
-        eye = np.eye(len(unlabeled))
+        eye = _eye(len(unlabeled))
         groups.append(_Group(unlabeled, eye, 1.0 - eye, (ALIGN_UNLABELED, UNIF_UNLABELED), True))
     return groups
 
 
 def _evaluate(
     d: np.ndarray, groups: list[_Group], coefficients: bool = False
-) -> tuple[LossBreakdown, list[tuple[np.ndarray, str, np.ndarray]]]:
-    """Breakdown of the groups' terms over d.
+) -> tuple[dict[str, float], list[tuple[np.ndarray, np.ndarray, np.ndarray | None]]]:
+    """Values of the groups' present terms over d, in group order.
 
-    With ``coefficients`` also returns one (rows, term, block) per present
-    term, where block[a, b] = d(term)/d(d[rows[a], rows[b]]); value-only
-    callers get an empty list and build no coefficient matrices.
+    With ``coefficients`` also returns one (rows, align, repel) block per
+    group, where align[a, b] and repel[a, b] are the derivatives of its
+    alignment and uniformity terms by d[rows[a], rows[b]] (repel is None
+    when that term is skipped); value-only callers get an empty list and
+    build no coefficient matrices.
     """
     terms: dict[str, float] = {}
-    skipped: set[str] = set()
-    sizes = {ALIGN_LABELED: 0, ALIGN_UNLABELED: 0}
     blocks = []
     for g in groups:
         align_name, unif_name = g.terms
         m = len(g.rows)
-        sizes[align_name] = m
         d_g = d[g.rows[:, None], g.rows]
         # A zero weight adds exactly 0, even where d overflowed to inf.
         aligned = np.multiply(g.align, d_g, out=np.zeros(d_g.shape), where=g.align != 0)
@@ -279,26 +290,31 @@ def _evaluate(
         s = float(repel.sum())
         if s != 0.0:
             terms[unif_name] = float(np.log(s / m**2))
-        elif g.skip_zero:
-            skipped.add(unif_name)
-        else:
+        elif not g.skip_zero:
             raise DegenerateUniformityError(
                 f"degenerate uniformity: the {unif_name} repulsion sum is zero, nothing repels"
             )
         if coefficients:
-            blocks.append((g.rows, align_name, g.align / m))
-            if s != 0.0:
-                blocks.append((g.rows, unif_name, -repel / s))
+            blocks.append((g.rows, g.align / m, -repel / s if s != 0.0 else None))
+    return terms, blocks
+
+
+def _total(terms: dict[str, float]) -> float:
+    return float(sum(terms.values()))
+
+
+def _breakdown(groups: list[_Group], terms: dict[str, float]) -> LossBreakdown:
+    """The LossBreakdown of the term values that _evaluate gave for groups."""
+    sizes = {g.terms[0]: len(g.rows) for g in groups}
     # Term names double as LossBreakdown field names.
-    breakdown = LossBreakdown(
+    return LossBreakdown(
         **terms,
         present=frozenset(terms),
-        skipped=frozenset(skipped),
-        n_labeled=sizes[ALIGN_LABELED],
-        n_unlabeled=sizes[ALIGN_UNLABELED],
-        total=float(sum(terms.values())),
+        skipped=frozenset(g.terms[1] for g in groups if g.terms[1] not in terms),
+        n_labeled=sizes.get(ALIGN_LABELED, 0),
+        n_unlabeled=sizes.get(ALIGN_UNLABELED, 0),
+        total=_total(terms),
     )
-    return breakdown, blocks
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +331,8 @@ def evaluate_loss(
 ) -> LossBreakdown:
     """Loss breakdown of the named variant; see LOSS_KINDS."""
     d = pairwise_distances(batch)
-    return _evaluate(d, _groups(kind, batch.n, partition, kernel, global_uniformity))[0]
+    groups = _groups(kind, batch.n, partition, kernel, global_uniformity)
+    return _breakdown(groups, _evaluate(d, groups)[0])
 
 
 def loss_conditional(batch: ViewPairBatch, kernel: KernelMatrix) -> LossBreakdown:
@@ -397,23 +414,21 @@ def _decoupled_coefficients(
     """Per-term full-size coefficient matrices; zero outside each block."""
     groups = _groups("decoupled", len(d), partition, kernel, global_uniformity)
     out: dict[str, np.ndarray] = {}
-    for rows, term, block in _evaluate(d, groups, coefficients=True)[1]:
-        c = np.zeros(d.shape)
-        c[rows[:, None], rows] = block
-        out[term] = c
+    for g, (rows, *term_blocks) in zip(groups, _evaluate(d, groups, coefficients=True)[1]):
+        for term, block in zip(g.terms, term_blocks):
+            if block is not None:
+                c = out[term] = np.zeros(d.shape)
+                c[rows[:, None], rows] = block
     return out
 
 
-def _gradient_from_coefficients(
-    batch: ViewPairBatch,
-    d: np.ndarray,
-    c: np.ndarray,
-    breakdown: LossBreakdown | None = None,
-) -> GradientBatch:
+def _gradient_from_coefficients(batch: ViewPairBatch, d: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """The (2, N, D) stack of d(total)/d(x1) and d(total)/d(x2) for coefficients c."""
     m = c / d
-    g1 = m.sum(axis=1, keepdims=True) * batch.x1 - m @ batch.x2
-    g2 = m.sum(axis=0)[:, None] * batch.x2 - m.T @ batch.x1
-    return GradientBatch(g1, g2, breakdown)
+    g = np.empty((2, *batch.x1.shape))
+    np.subtract(m.sum(axis=1, keepdims=True) * batch.x1, m @ batch.x2, out=g[0])
+    np.subtract(m.sum(axis=0)[:, None] * batch.x2, m.T @ batch.x1, out=g[1])
+    return g
 
 
 def loss_gradient(
@@ -429,17 +444,20 @@ def loss_gradient(
     to what ``evaluate_loss`` gives for the same arguments, so one call
     (and one distance matrix) serves a whole training step.
     """
-    return _gradient(batch, _groups(kind, batch.n, partition, kernel, global_uniformity))
+    groups = _groups(kind, batch.n, partition, kernel, global_uniformity)
+    terms, g = _gradient(batch, groups)
+    return GradientBatch(g[0], g[1], _breakdown(groups, terms))
 
 
-def _gradient(batch: ViewPairBatch, groups: list[_Group]) -> GradientBatch:
-    """loss_gradient over groups the caller has already validated."""
+def _gradient(batch: ViewPairBatch, groups: list[_Group]) -> tuple[dict[str, float], np.ndarray]:
+    """Term values and gradient stack of loss_gradient, over groups the
+    caller has already validated."""
     d = pairwise_distances(batch)
-    breakdown, blocks = _evaluate(d, groups, coefficients=True)
+    terms, blocks = _evaluate(d, groups, coefficients=True)
     c = np.zeros((batch.n, batch.n))
-    for rows, _, block in blocks:
-        c[rows[:, None], rows] += block
-    return _gradient_from_coefficients(batch, d, c, breakdown)
+    for rows, align, repel in blocks:  # disjoint groups: one write per block
+        c[rows[:, None], rows] = align if repel is None else align + repel
+    return terms, _gradient_from_coefficients(batch, d, c)
 
 
 def central_difference(

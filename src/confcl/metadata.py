@@ -169,8 +169,9 @@ def binarize(source: Source, value: int) -> int | None:
     PI-RADS 1-2 vote 0, PI-RADS 4-5 vote 1, and PI-RADS 3 abstains
     (returns None): an equivocal read contributes no vote.  ISUP grades
     at most 1 vote 0 and grades 2 and above vote 1; there is no ISUP
-    abstention.  Out-of-range values and a source that is not a Source
-    raise AnnotationError; this is the one place those rules live.
+    abstention.  A source that is not a Source, a value that is not an
+    int or a numpy integer (a bool is neither here) and an out-of-range
+    value raise AnnotationError; this is the one place those rules live.
     """
     if source is Source.PIRADS:
         lo, hi = PIRADS_RANGE
@@ -178,6 +179,8 @@ def binarize(source: Source, value: int) -> int | None:
         lo, hi = ISUP_RANGE
     else:
         raise AnnotationError(f"unknown source {source!r}")
+    if type(value) is not int and not isinstance(value, np.integer):
+        raise AnnotationError(f"{source.value} value {value!r} is not an integer")
     if not (lo <= value <= hi):
         raise AnnotationError(f"{source.value} value {value} outside [{lo}, {hi}]")
     if source is Source.ISUP:

@@ -355,6 +355,24 @@ def test_encoder_normalization_survives_zero_output():
     assert np.isfinite(emb).all()
 
 
+@pytest.mark.parametrize("normalize", [True, False])
+@pytest.mark.parametrize("rows", [1, 3, 16])
+def test_encoder_on_a_view_stack_equals_per_view_calls_bitwise(normalize, rows):
+    rng = np.random.default_rng(rows)
+    enc = Encoder.init(5, 7, 3, normalize, rng)
+    x = rng.normal(size=(2, rows, 5))
+    grad = rng.normal(size=(2, rows, 3))
+    emb, cache = enc.forward(x)
+    per_view = [enc.forward(x[v]) for v in (0, 1)]
+    for v, (emb_v, _) in enumerate(per_view):
+        assert np.array_equal(emb[v], emb_v)
+    stacked = enc.backward(cache, grad)
+    first, second = (enc.backward(cache_v, grad[v]) for v, (_, cache_v) in enumerate(per_view))
+    assert set(stacked) == set(first)
+    for key in first:
+        assert np.array_equal(stacked[key], first[key] + second[key])
+
+
 def _tiny_loss_setup():
     """Fixed 4-exam batch (3 labeled + 1 unlabeled) under the min-rule kernel."""
     summaries = [
@@ -563,10 +581,20 @@ def _reference_train(config, data, rng, spec):
     return encoder, epoch_losses, sizes
 
 
+@pytest.mark.parametrize("aug_sigma", [0.5, 0.0])
+@pytest.mark.parametrize("normalize", [True, False])
 @pytest.mark.parametrize("variant", sorted(STUDY_VARIANTS))
-def test_train_equals_public_per_batch_definition(variant):
+def test_train_equals_public_per_batch_definition(variant, normalize, aug_sigma):
     # Batches of 3 plus a final batch of 1 give |A| and |U| of 0 and 1.
-    cfg = _small_config(n_exams=25, batch_size=3, frac_unlabeled=0.5, momentum=0.5, epochs=2)
+    cfg = _small_config(
+        n_exams=25,
+        batch_size=3,
+        frac_unlabeled=0.5,
+        momentum=0.5,
+        epochs=2,
+        normalize_embeddings=normalize,
+        aug_sigma=aug_sigma,
+    )
     data = generate_dataset(cfg, seed=3)
     encoder, epoch_losses = train(cfg, study_cell(cfg, data, variant), np.random.default_rng(11))
     spec = variant_spec(variant)

@@ -65,6 +65,19 @@ def test_metadata_rows_round_trip(tmp_path):
     ]
 
 
+@pytest.mark.parametrize(
+    "kind", [int, np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32, np.uint64]
+)
+def test_metadata_rows_round_trip_every_accepted_value_type(tmp_path, kind):
+    values = {Source.PIRADS: range(1, 6), Source.ISUP: range(0, 6)}
+    rows = [RawAnnotation("e", source, kind(v)) for source, vs in values.items() for v in vs]
+    path = str(tmp_path / "meta.csv")
+    write_metadata_rows(path, rows)
+    votes = (0, 0, 1, 1, 0, 0, 1, 1, 1, 1)  # PI-RADS 3 abstains
+    sources = (Source.PIRADS,) * 4 + (Source.ISUP,) * 6
+    assert read_metadata_csv(path) == [AnnotationVector("e", votes, sources)]
+
+
 def test_metadata_header_is_required(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("id,src,val\na,pirads,4\n")
@@ -90,6 +103,15 @@ def test_metadata_bad_rows_name_file_and_line(tmp_path, row, fragment):
     with pytest.raises(FileFormatError, match=fragment) as info:
         read_metadata_csv(str(path))
     assert info.value.line == 3
+
+
+def test_metadata_errors_name_the_physical_line_after_a_multiline_field(tmp_path):
+    # The quoted exam id on lines 2-3 holds a newline, so q's row is line 5.
+    path = tmp_path / "bad.csv"
+    path.write_text('exam_id,source,value\n"x\ny",pirads,4\na,pirads,4\nq,pirads,9\n')
+    with pytest.raises(FileFormatError, match="exam 'q'") as info:
+        read_metadata_csv(str(path))
+    assert (info.value.file, info.value.line) == (str(path), 5)
 
 
 def test_read_metadata_csv_keeps_first_appearance_order(tmp_path):

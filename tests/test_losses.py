@@ -18,6 +18,7 @@ from confcl.losses import (
     UNIF_UNLABELED,
     BatchPartition,
     DegenerateUniformityError,
+    GradientBatch,
     ViewPairBatch,
     central_difference,
     evaluate_loss,
@@ -29,7 +30,12 @@ from confcl.losses import (
     pairwise_distances,
     partition_batch,
 )
-from confcl.losses import _decoupled_coefficients, _gradient_from_coefficients
+from confcl.losses import (
+    _decoupled_coefficients,
+    _decoupled_groups,
+    _eye,
+    _gradient_from_coefficients,
+)
 from confcl.metadata import KernelMatrix, KernelVariant, MetadataSummary
 
 
@@ -526,8 +532,6 @@ def test_central_difference_recovers_quadratic_derivative():
 
 
 def test_max_relative_error_floor_ignores_noise_on_true_zeros():
-    from confcl.losses import GradientBatch
-
     a = GradientBatch(np.array([[0.0]]), np.array([[1.0]]))
     b = GradientBatch(np.array([[5e-8]]), np.array([[1.0]]))
     assert max_relative_error(a, b) == 0.0
@@ -548,6 +552,19 @@ def test_evaluate_loss_dispatch_and_errors():
 # ---------------------------------------------------------------------------
 # Decoupling of saturated pairs
 # ---------------------------------------------------------------------------
+
+
+def test_identity_blocks_are_read_only_slices_of_one_shared_array():
+    # Training steps and cells share these blocks, so none may write to them.
+    big, small = _eye(16), _eye(3)
+    assert np.array_equal(small, np.eye(3)) and np.shares_memory(big, small)
+    (unlabeled,) = _decoupled_groups(np.array([], np.intp), np.arange(3), None, False)
+    assert np.array_equal(unlabeled.align, np.eye(3))
+    for block in (big, small, unlabeled.align):
+        with pytest.raises(ValueError, match="read-only"):
+            block[0, 0] = 2.0
+    # An eval-sized group gets an identity of its own, which no later call keeps.
+    assert np.array_equal(_eye(500), np.eye(500)) and not np.shares_memory(_eye(500), big)
 
 
 def test_saturated_pairs_have_zero_uniformity_coefficient():
@@ -590,7 +607,7 @@ def test_labeled_uniformity_term_gradient_matches_finite_differences():
     kernel = KernelMatrix(w)
     d = pairwise_distances(batch)
     c = _decoupled_coefficients(d, partition, kernel, False)[UNIF_LABELED]
-    analytic = _gradient_from_coefficients(batch, d, c)
+    analytic = GradientBatch(*_gradient_from_coefficients(batch, d, c))
 
     def term(a, b):
         return loss_decoupled(ViewPairBatch(a, b), partition, kernel).unif_labeled

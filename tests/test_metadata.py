@@ -103,6 +103,12 @@ def test_raw_annotation_validates_and_names_the_exam():
         (None, 1, "exam 'a': unknown source None"),
         (Source.PIRADS, 0, "exam 'a': pirads value 0 outside [1, 5]"),
         (Source.ISUP, -1, "exam 'a': isup value -1 outside [0, 5]"),
+        # The writer would put these out as text its own reader rejects.
+        (Source.PIRADS, 4.5, "exam 'a': pirads value 4.5 is not an integer"),
+        (Source.ISUP, 2.0, "exam 'a': isup value 2.0 is not an integer"),
+        (Source.PIRADS, True, "exam 'a': pirads value True is not an integer"),
+        (Source.ISUP, np.True_, f"exam 'a': isup value {np.True_!r} is not an integer"),
+        (Source.PIRADS, "4", "exam 'a': pirads value '4' is not an integer"),
     ],
 )
 def test_raw_annotation_rejects_what_binarize_rejects(source, value, message):
