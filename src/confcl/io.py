@@ -58,8 +58,10 @@ MSK_MAGIC = b"MSK1"
 
 METADATA_HEADER = ["exam_id", "source", "value"]
 
-# Cells per block of rows in write_matrix_csv.
+# Cells per block of rows in write_matrix_csv, and the most comma-joined
+# runs of cells it formats for one table of values.
 _CSV_BLOCK_CELLS = 2**15
+_CSV_GRAM_TOKENS = 2**12
 
 
 class FileFormatError(ValueError):
@@ -142,9 +144,15 @@ def read_metadata_csv(path: str) -> list[AnnotationVector]:
     first-appearance order, each row checked as it is read.
 
     Equivocal scores binarize to an abstention and contribute no vote,
-    but the exam still appears (possibly with an empty vector).
+    but the exam still appears (possibly with an empty vector).  A value
+    with an underscore or a character that is not ASCII is not an
+    integer, though int() takes ``0_4`` and Arabic-Indic digits.  Each
+    distinct (source, value) text pair is checked once; a pair that fails
+    is not remembered, so every bad row is reported with its own exam,
+    file and line.
     """
     exams: dict[str, tuple[list[int], list[Source]]] = {}  # insertion order is first appearance
+    scores: dict[tuple[str, str], tuple[Source, int | None]] = {}
     reader = csv.reader(_text_lines(path, newline=""))
     try:
         header = next(reader, None)
@@ -161,22 +169,12 @@ def read_metadata_csv(path: str) -> list[AnnotationVector]:
             if len(row) != 3:
                 raise FileFormatError(f"expected 3 fields, got {len(row)}", path, lineno)
             exam_id, source_str, value_str = row
-            try:
-                source = Source(source_str)
-            except ValueError:
-                raise FileFormatError(
-                    f"unknown source {source_str!r}; expected pirads or isup", path, lineno
-                ) from None
-            try:
-                value = int(value_str)
-            except ValueError:
-                raise FileFormatError(
-                    f"value {value_str!r} is not an integer", path, lineno
-                ) from None
-            try:
-                vote = binarize(source, value)
-            except AnnotationError as exc:
-                raise FileFormatError(f"exam {exam_id!r}: {exc}", path, lineno) from None
+            score = scores.get((source_str, value_str))
+            if score is None:
+                score = scores[source_str, value_str] = _score(
+                    exam_id, source_str, value_str, path, lineno
+                )
+            source, vote = score
             votes, sources = exams.setdefault(exam_id, ([], []))
             if vote is not None:
                 votes.append(vote)
@@ -184,6 +182,28 @@ def read_metadata_csv(path: str) -> list[AnnotationVector]:
     except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
         raise FileFormatError(str(exc), path, reader.line_num) from None
     return [AnnotationVector(eid, tuple(v), tuple(s)) for eid, (v, s) in exams.items()]
+
+
+def _score(
+    exam_id: str, source_str: str, value_str: str, path: str, lineno: int
+) -> tuple[Source, int | None]:
+    """A row's source and binarized vote, or the FileFormatError naming its line."""
+    try:
+        source = Source(source_str)
+    except ValueError:
+        raise FileFormatError(
+            f"unknown source {source_str!r}; expected pirads or isup", path, lineno
+        ) from None
+    try:
+        if "_" in value_str or not value_str.isascii():
+            raise ValueError
+        value = int(value_str)
+    except ValueError:
+        raise FileFormatError(f"value {value_str!r} is not an integer", path, lineno) from None
+    try:
+        return source, binarize(source, value)
+    except AnnotationError as exc:
+        raise FileFormatError(f"exam {exam_id!r}: {exc}", path, lineno) from None
 
 
 # ---------------------------------------------------------------------------
@@ -196,11 +216,15 @@ def write_matrix_csv(path: str, matrix: np.ndarray) -> None:
 
     A NaN or infinity, which read_matrix_csv rejects, raises ValueError
     naming its row and column before any file is made; an empty matrix
-    writes an empty file.  Rows go out in blocks of about _CSV_BLOCK_CELLS
-    cells (at least one row).  Each block formats its distinct values once
-    (kernel rows hold a handful) and gathers its cells by index into them,
-    so the temporaries scale with a block, not the matrix.  Values are
-    keyed on their bit pattern, so 0.0 and -0.0 keep their own text.
+    writes an empty file.  Rows go out as ASCII in blocks of about
+    _CSV_BLOCK_CELLS cells (at least one row).  Cells are keyed on their
+    bit pattern, so 0.0 and -0.0 keep their own text, and looked up in the
+    sorted table of the last block that had to build one; only a block
+    with a value outside it builds its own (a kernel holds a handful of
+    values).  A row joins runs of g cells from _csv_tokens, found by their
+    mixed-radix code, then its cols % g leftover cells.  The bytes equal a
+    per-cell join, and the temporaries scale with one block and at most
+    _CSV_GRAM_TOKENS runs, not with the matrix.
     """
     m = np.atleast_2d(np.asarray(matrix, dtype=np.float64))
     if m.ndim != 2:
@@ -209,14 +233,40 @@ def write_matrix_csv(path: str, matrix: np.ndarray) -> None:
     if m.size and not (np.isfinite(m.min()) and np.isfinite(m.max())):
         row, col = np.argwhere(~np.isfinite(m))[0]
         raise ValueError(f"matrix cell at row {row}, column {col} is {m[row, col]}, not finite")
-    rows_per_block = max(1, _CSV_BLOCK_CELLS // max(1, m.shape[1]))
-    with atomic_write(path) as handle:
+    cols = m.shape[1]
+    rows_per_block = max(1, _CSV_BLOCK_CELLS // max(1, cols))
+    bits = np.empty(0, dtype=np.uint64)
+    with atomic_write(path, binary=True) as handle:
         for start in range(0, m.shape[0], rows_per_block):
-            block = m[start : start + rows_per_block]
-            bits, index = np.unique(block.view(np.uint64), return_inverse=True)
-            cells = np.array([fmt_float(v) for v in bits.view(np.float64)], dtype=object)
-            for row in cells[index.reshape(block.shape)].tolist():
-                handle.write(",".join(row) + "\n")
+            keys = m[start : start + rows_per_block].view(np.uint64)
+            index = np.searchsorted(bits, keys)
+            if not (bits.size and (bits.take(index, mode="clip") == keys).all()):
+                bits, index = np.unique(keys, return_inverse=True)
+                index = index.reshape(keys.shape)
+                cells, g, grams = _csv_tokens(bits, cols)
+            whole = cols - cols % g
+            code = index[:, 0:whole:g]
+            for j in range(1, g):
+                code = code * bits.size + index[:, j:whole:g]
+            tokens = grams[code]
+            if whole < cols:
+                tokens = np.concatenate([tokens, cells[index[:, whole:]]], axis=1)
+            handle.write(("\n".join(map(",".join, tokens.tolist())) + "\n").encode("ascii"))
+
+
+def _csv_tokens(bits: np.ndarray, cols: int) -> tuple[np.ndarray, int, np.ndarray]:
+    """The fmt_float text of each of K sorted bit patterns, g, and the K**g
+    comma-joined runs of g of those texts, the run (i_1, ..., i_g) at
+    i_1 * K**(g - 1) + ... + i_g.  g is the largest length with g <= 8,
+    g <= cols and K**g <= _CSV_GRAM_TOKENS, and 1 if there is none."""
+    cells = [fmt_float(v) for v in bits.view(np.float64)]
+    g = 1
+    while g < min(8, cols) and bits.size ** (g + 1) <= _CSV_GRAM_TOKENS:
+        g += 1
+    grams = cells
+    for _ in range(g - 1):
+        grams = [f"{run},{cell}" for run in grams for cell in cells]
+    return np.array(cells, dtype=object), g, np.array(grams, dtype=object)
 
 
 def read_matrix_csv(path: str) -> np.ndarray:
@@ -226,6 +276,8 @@ def read_matrix_csv(path: str) -> np.ndarray:
         if not line:
             continue
         try:
+            if "_" in raw or not raw.isascii():  # float() takes 1_0 and full-width digits
+                raise ValueError
             row = [float(cell) for cell in line.split(",")]
         except ValueError:
             raise FileFormatError("non-numeric cell", path, lineno) from None

@@ -405,6 +405,22 @@ def test_loss_non_finite_view_csv_exits_1_naming_file_and_line(capsys, tmp_path)
     assert "non-finite cell" in err["message"]
 
 
+@pytest.mark.parametrize("cell", ["1_0", "\uff11.\uff15"])
+def test_loss_view_csv_with_python_only_numerals_exits_1_naming_file_and_line(capsys, tmp_path, cell):
+    # float() reads 1_0 as 10.0 and full-width 1.5 as 1.5; no CSV writer emits either.
+    _, _, p1, p2 = _write_views(tmp_path)
+    lines = open(p1).read().splitlines()
+    lines[1] = cell + ",2"
+    with open(p1, "w", encoding="utf-8") as handle:
+        handle.write("\n".join(lines) + "\n")
+    code, stdout, stderr = _run(capsys, ["loss", "--x1", p1, "--x2", p2])
+    assert code == 1
+    assert stdout == ""
+    err = json.loads(stderr)
+    assert (err["error"], err["file"], err["line"]) == ("FileFormatError", p1, 2)
+    assert "non-numeric cell" in err["message"]
+
+
 def test_loss_non_utf8_view_csv_exits_1_naming_file_and_line(capsys, tmp_path):
     _, _, p1, p2 = _write_views(tmp_path)
     with open(p2, "ab") as handle:

@@ -12,6 +12,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from confcl import io as cio
 from confcl.io import (
     EMB_MAGIC,
     MSK_MAGIC,
@@ -19,6 +20,8 @@ from confcl.io import (
     BinaryMask,
     FileFormatError,
     ProbVolume,
+    _csv_tokens as csv_tokens,
+    _score as score,
     atomic_write,
     fmt_float,
     read_embeddings,
@@ -105,6 +108,37 @@ def test_metadata_bad_rows_name_file_and_line(tmp_path, row, fragment):
     assert info.value.line == 3
 
 
+@pytest.mark.parametrize("value", ["0_4", "\u0664", "\uff14", "4\u00a0"])
+def test_metadata_values_are_ascii_without_underscores(tmp_path, value):
+    # int() reads each of these as 4; no CSV writer emits them.
+    path = tmp_path / "bad.csv"
+    path.write_text(f"exam_id,source,value\nb,pirads,4\na,pirads,{value}\n", encoding="utf-8")
+    with pytest.raises(FileFormatError, match="is not an integer") as info:
+        read_metadata_csv(str(path))
+    assert (info.value.file, info.value.line) == (str(path), 3)
+    assert info.value.reason == f"value {value!r} is not an integer"
+
+
+def test_metadata_checks_each_score_once_but_reports_each_bad_row_itself(tmp_path, monkeypatch):
+    # The 150 good rows hold 3 distinct (source, value) pairs, checked once
+    # each; the pair (pirads, 9) fails wherever it appears, and its error
+    # names that row's exam and line.
+    checked = []
+    monkeypatch.setattr(cio, "_score", lambda *args: checked.append(args[1:3]) or score(*args))
+    path = tmp_path / "meta.csv"
+    rows = [f"e{i},{s},{v}" for i in range(50) for s, v in (("pirads", 4), ("isup", 0), ("pirads", 3))]
+    path.write_text("exam_id,source,value\n" + "\n".join(rows) + "\n")
+    vectors = read_metadata_csv(str(path))
+    assert vectors == [AnnotationVector(f"e{i}", (1, 0), (Source.PIRADS, Source.ISUP)) for i in range(50)]
+    assert checked == [("pirads", "4"), ("isup", "0"), ("pirads", "3")]
+    for line, exam in ((2, "x"), (152, "y")):
+        body = rows[: line - 2] + [f"{exam},pirads,9"] + rows[line - 2 :]
+        path.write_text("exam_id,source,value\n" + "\n".join(body) + "\n")
+        with pytest.raises(FileFormatError) as info:
+            read_metadata_csv(str(path))
+        assert (info.value.line, info.value.reason) == (line, f"exam {exam!r}: pirads value 9 outside [1, 5]")
+
+
 def test_metadata_errors_name_the_physical_line_after_a_multiline_field(tmp_path):
     # The quoted exam id on lines 2-3 holds a newline, so q's row is line 5.
     path = tmp_path / "bad.csv"
@@ -189,6 +223,16 @@ def test_matrix_csv_rejects_garbage(tmp_path):
         read_matrix_csv(str(path))
 
 
+@pytest.mark.parametrize("cell", ["1_0", "\uff11.\uff15", "\u0661", "1.5\u00a0"])
+def test_matrix_csv_rejects_python_only_numerals_naming_file_and_line(tmp_path, cell):
+    # float() reads each of these, as 10.0, 1.5, 1.0 and 1.5; no CSV writer emits them.
+    path = tmp_path / "m.csv"
+    path.write_text(f"1.0,2.0\n3.0,{cell}\n", encoding="utf-8")
+    with pytest.raises(FileFormatError, match="non-numeric cell") as info:
+        read_matrix_csv(str(path))
+    assert (info.value.file, info.value.line) == (str(path), 2)
+
+
 @pytest.mark.parametrize("cell", ["nan", "NaN", "inf", "-inf", "Infinity", "1e400"])
 def test_matrix_csv_rejects_non_finite_cells_naming_file_and_line(tmp_path, cell):
     path = tmp_path / "m.csv"
@@ -247,8 +291,36 @@ def _zeros_then_negative_zeros() -> np.ndarray:
     return m
 
 
+def _blocks(*values) -> np.ndarray:
+    """Blocks of 32 rows x 1024 columns, block k drawn from values[k]."""
+    rng = np.random.default_rng(49)
+    return np.concatenate([rng.choice(np.array(v, dtype=np.float64), (32, 1024)) for v in values])
+
+
+def _k_values(k: int, rows: int, cols: int) -> np.ndarray:
+    """Every one of k values, each in about rows * cols / k cells."""
+    cells = np.resize(np.arange(k) / 7.0, rows * cols)
+    return np.random.default_rng(k).permutation(cells).reshape(rows, cols)
+
+
+# Table reuse: block 2 draws from a strict subset of block 1's values, so
+# it reuses block 1's table; block 3 then needs a value block 2 lacks.
+_REUSED = (0.0, 1.0, 0.1, 1.0 / 3.0), (0.1, 1.0 / 3.0)
+_REBUILT = (*_REUSED, (0.1, 0.25))
+_NEGATIVE_ZERO_AFTER_REUSE = (0.0, 1.0), (1.0,), (0.0, -0.0, 1.0)
+
 # 1024 columns make blocks of 32 rows, so 33 and 65 rows end on a short block.
+# K values make runs of g cells, the largest g <= 8 with K**g <= 4096: K = 7
+# gives g = 4, K = 64 gives 2 and K = 65 gives 1.
 _MATRIX_CASES = {
+    "reused table": _blocks(*_REUSED),
+    "rebuilt after a reused table": _blocks(*_REBUILT),
+    "-0.0 after a reused table": _blocks(*_NEGATIVE_ZERO_AFTER_REUSE),
+    **{f"{cols} columns": _few_values(40, cols, cols) for cols in (2, 3, 5, 6, 7, 9, 10, 11, 1302)},
+    "one value": np.full((40, 13), 0.25),
+    "two values": _k_values(2, 100, 17),
+    "64 values": _k_values(64, 50, 31),
+    "65 values": _k_values(65, 50, 31),
     "signed zeros": np.array([[0.0, -0.0, 1.0, -0.0, 0.0], [-0.0, -0.0, 0.0, 0.0, -0.0]]),
     "signed zeros in separate blocks": _zeros_then_negative_zeros(),
     "33 rows": _few_values(33, 1024, 45),
@@ -273,6 +345,33 @@ def test_matrix_csv_bytes_match_per_element_formatting(tmp_path, name):
     path = tmp_path / "m.csv"
     write_matrix_csv(str(path), matrix)
     assert path.read_bytes() == _per_element_csv(matrix)
+
+
+@pytest.mark.parametrize(
+    "blocks, tables",
+    [(_REUSED, 1), (_REBUILT, 2), (_NEGATIVE_ZERO_AFTER_REUSE, 2), (((0.5,),) * 4, 1)],
+)
+def test_matrix_csv_builds_a_table_only_when_a_block_has_a_new_value(tmp_path, monkeypatch, blocks, tables):
+    built = []
+    monkeypatch.setattr(cio, "_csv_tokens", lambda bits, cols: built.append(bits) or csv_tokens(bits, cols))
+    matrix = _blocks(*blocks)
+    write_matrix_csv(str(tmp_path / "m.csv"), matrix)
+    assert len(built) == tables
+    assert (tmp_path / "m.csv").read_bytes() == _per_element_csv(matrix)
+
+
+@pytest.mark.parametrize("cols", [1, 2, 3, 7, 8, 9, 1302])
+@pytest.mark.parametrize("k", [0, 1, 2, 3, 7, 8, 16, 17, 64, 65, 4096, 4097])
+def test_matrix_csv_token_table_stays_within_4096_runs(k, cols):
+    bits = np.sort((np.arange(k) / 7.0).view(np.uint64))
+    cells, g, grams = csv_tokens(bits, cols)
+    assert list(cells) == [fmt_float(v) for v in bits.view(np.float64)]
+    assert len(grams) == k**g
+    assert g == 1 or len(grams) <= 4096
+    # g is the longest run allowed: one more cell breaks a limit.
+    assert g == max(1, min(8, cols)) or k ** (g + 1) > 4096
+    for digits in np.random.default_rng(k).integers(0, max(k, 1), (5 if k else 0, g)):
+        assert grams[int(np.polyval(digits, k))] == ",".join(cells[digits])
 
 
 def test_matrix_csv_rejects_more_than_two_dimensions(tmp_path):
