@@ -61,6 +61,7 @@ __all__ = [
     "generate_dataset",
     "study_cell",
     "simulate_annotators",
+    "vote_sources",
     "augment",
     "train",
     "linear_probe",
@@ -209,16 +210,16 @@ class VariantSpec:
     name: str
     kernel: KernelVariant | None  # None: ignore metadata, everything unlabeled
     global_uniformity: bool = False
-    epsilon: float | None = None  # overrides the config single-vote confidence
+    trusted: Source | None = None  # a lone vote from this source gets confidence 1
 
 
 STUDY_VARIANTS: dict[str, VariantSpec] = {
     "proposed": VariantSpec("proposed", KernelVariant.PROPOSED),
     "hc": VariantSpec("hc", KernelVariant.HIGH_CONFIDENCE),
     "majority": VariantSpec("majority", KernelVariant.MAJORITY_VOTING),
-    # Trust single-report exams fully; multi-vote confidences never use
-    # the floor, so a global override only promotes one-vote exams.
-    "biopsy": VariantSpec("biopsy", KernelVariant.PROPOSED, epsilon=1.0),
+    # Trust a lone biopsy (ISUP) vote fully; multi-vote confidences never
+    # use the single-vote floor, whatever their sources.
+    "biopsy": VariantSpec("biopsy", KernelVariant.PROPOSED, trusted=Source.ISUP),
     "glu": VariantSpec("glu", KernelVariant.PROPOSED, global_uniformity=True),
     "unsupervised": VariantSpec("unsupervised", None),
 }
@@ -252,9 +253,13 @@ def simulate_annotators(
         votes.append(1 - true_label if flip else true_label)
     if rng.random() < frac_unlabeled:
         votes = []
-    return AnnotationVector(
-        exam_id, tuple(votes), tuple(Source.PIRADS for _ in votes)
-    )
+    return AnnotationVector(exam_id, tuple(votes), vote_sources(len(votes)))
+
+
+def vote_sources(n: int) -> tuple[Source, ...]:
+    """Synthetic sources, which draw no random numbers: an exam's only vote
+    is its biopsy (ISUP), and two or more votes are PI-RADS reads."""
+    return (Source.ISUP,) if n == 1 else (Source.PIRADS,) * n
 
 
 def generate_dataset(config: SynthConfig, seed: int) -> SynthDataset:
@@ -410,10 +415,9 @@ class StudyCell(NamedTuple):
 
 
 def study_cell(config: SynthConfig, dataset: SynthDataset, variant: str) -> StudyCell:
-    """The cell of variant, summarized with its epsilon, else the config's."""
+    """The cell of variant, summarized with config.epsilon and its trusted source."""
     spec = variant_spec(variant)
-    epsilon = spec.epsilon if spec.epsilon is not None else config.epsilon
-    summaries = [summarize(a, epsilon) for a in dataset.annotations]
+    summaries = [summarize(a, config.epsilon, spec.trusted) for a in dataset.annotations]
     partition, kernel = batch_loss_inputs(summaries, spec)
     block_row = np.full(len(dataset.labels), -1)
     block_row[list(partition.labeled)] = np.arange(len(partition.labeled))

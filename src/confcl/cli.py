@@ -67,33 +67,31 @@ def _read_summaries(
     args: argparse.Namespace, overrides: dict[str, float]
 ) -> list[metadata.MetadataSummary]:
     """The --metadata CSV's exams, in first-appearance order, each summarized
-    with its --epsilon-override, else 1 if it has a vote from --biopsy-source,
-    else --epsilon.  That epsilon is only the single-vote confidence: an
-    exam with two or more votes keeps its agreement confidence whatever
-    their sources, so the trusted source fully trusts only a lone vote.
-    The biopsy variant trusts isup votes unless --biopsy-source names
-    another source; an override pins only its own exam, and one that names
-    an exam the CSV lacks is an error."""
+    with its --epsilon-override, else with --epsilon and the trusted source:
+    --biopsy-source, else the variant's.  An override of an exam the CSV
+    lacks is an error."""
     vectors = cio.read_metadata_csv(args.metadata)
     exam_ids = {vec.exam_id for vec in vectors}
     for exam_id in overrides:
         if exam_id not in exam_ids:
             raise cio.FileFormatError(f"no exam {exam_id!r}, which --epsilon-override names", args.metadata)
-    biopsy_source = args.biopsy_source
-    if args.variant == "biopsy" and biopsy_source is None:
-        biopsy_source = "isup"
-    trusted = None if biopsy_source is None else metadata.Source(biopsy_source)
+    source = args.biopsy_source
+    trusted = bench.variant_spec(args.variant).trusted if source is None else metadata.Source(source)
     return [
-        metadata.summarize(vec, overrides.get(vec.exam_id, 1.0 if trusted in vec.sources else args.epsilon))
+        metadata.summarize(vec, overrides[vec.exam_id])
+        if vec.exam_id in overrides
+        else metadata.summarize(vec, args.epsilon, trusted)
         for vec in vectors
     ]
 
 
 def _check_output_dirs(args: argparse.Namespace, *flags: str) -> None:
     """Fail before any input is read, not after the work, when an output
-    given by one of these flags has no directory."""
+    given by one of these flags is a directory or has no directory."""
     for flag in flags:
         path = getattr(args, flag[2:].replace("-", "_"))
+        if path is not None and os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, f"{flag} is a directory", path)
         if path is not None and not os.path.isdir(os.path.dirname(os.path.abspath(path))):
             raise FileNotFoundError(errno.ENOENT, f"no directory for {flag}", path)
 
@@ -140,8 +138,9 @@ def _load_views(args: argparse.Namespace) -> losses.ViewPairBatch:
 def _cmd_loss(args: argparse.Namespace) -> int:
     _check_output_dirs(args, "--out")
     overrides = _parse_overrides(args)
-    if overrides and args.metadata is None:
-        raise ValueError("--epsilon-override needs --metadata")
+    for flag, given in (("--epsilon-override", overrides), ("--biopsy-source", args.biopsy_source)):
+        if given and args.metadata is None:
+            raise ValueError(f"{flag} needs --metadata")
     batch = _load_views(args)
     if args.normalize:
         batch = losses.ViewPairBatch(
@@ -169,16 +168,14 @@ def _cmd_loss(args: argparse.Namespace) -> int:
 
 
 def _random_summaries(
-    n: int, rng: np.random.Generator, epsilon: float, trusted: bool
+    n: int, rng: np.random.Generator, epsilon: float, trusted: metadata.Source | None
 ) -> list[metadata.MetadataSummary]:
     out = []
     for i in range(n):
         n_votes = int(rng.integers(0, 8))
         votes = tuple(int(v) for v in rng.integers(0, 2, n_votes))
-        vec = metadata.AnnotationVector(
-            f"row-{i}", votes, tuple(metadata.Source.PIRADS for _ in range(n_votes))
-        )
-        out.append(metadata.summarize(vec, 1.0 if trusted else epsilon))
+        vec = metadata.AnnotationVector(f"row-{i}", votes, bench.vote_sources(n_votes))
+        out.append(metadata.summarize(vec, epsilon, trusted))
     return out
 
 
@@ -190,7 +187,7 @@ def _cmd_gradcheck(args: argparse.Namespace) -> int:
         rng.normal(0.0, 1.0, (args.n, args.d)), rng.normal(0.0, 1.0, (args.n, args.d))
     )
     spec = bench.variant_spec(args.variant)
-    summaries = _random_summaries(args.n, rng, args.epsilon, spec.epsilon == 1.0)
+    summaries = _random_summaries(args.n, rng, args.epsilon, spec.trusted)
     partition, kernel = bench.batch_loss_inputs(summaries, spec)
     analytic = losses.loss_gradient(
         "decoupled", batch, partition, kernel, spec.global_uniformity

@@ -21,7 +21,6 @@ import json
 import math
 import os
 import struct
-import tempfile
 from collections.abc import Iterable, Iterator, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -75,28 +74,24 @@ class FileFormatError(ValueError):
         self.reason = message
 
 
-def _umask() -> int:
-    """The process umask; reading it means setting it, so set it straight back."""
-    mask = os.umask(0)
-    os.umask(mask)
-    return mask
-
-
 @contextmanager
 def atomic_write(path: str, binary: bool = False):
-    """Write to a same-directory temp file, then rename over the target."""
+    """Write to a same-directory temp file made with mode 0666 (so the umask
+    applies as for open()), then rename it over the target; an OSError from
+    making or renaming the temp file names the target instead."""
     directory = os.path.dirname(os.path.abspath(path))
+    tmp = os.path.join(directory, ".tmp-confcl-" + os.urandom(8).hex())
     try:
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-confcl-")
-    except OSError as exc:  # name the target, not the temp file that was never made
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    except OSError as exc:
         raise type(exc)(exc.errno, exc.strerror, path) from None
     try:
-        mode = "wb" if binary else "w"
-        with os.fdopen(fd, mode, **({} if binary else {"newline": "\n"})) as handle:
+        with os.fdopen(fd, "wb" if binary else "w", **({} if binary else {"newline": "\n"})) as handle:
             yield handle
-        # mkstemp creates the file 0600; give it the mode open() would.
-        os.chmod(tmp, 0o666 & ~_umask())
-        os.replace(tmp, path)
+        try:
+            os.replace(tmp, path)
+        except OSError as exc:
+            raise type(exc)(exc.errno, exc.strerror, path) from None
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)

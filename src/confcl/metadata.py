@@ -218,12 +218,17 @@ def confidence(votes: tuple[int, ...] | list[int], epsilon: float = DEFAULT_EPSI
     return _confidence(sum(1 for v in votes if v == 1), n, epsilon)
 
 
-def summarize(vector: AnnotationVector, epsilon: float = DEFAULT_EPSILON) -> MetadataSummary:
+def summarize(
+    vector: AnnotationVector, epsilon: float = DEFAULT_EPSILON, trusted: Source | None = None
+) -> MetadataSummary:
     """Collapse an exam's votes to a labeled or unlabeled summary; empty
-    vectors and exact ties are unlabeled."""
+    vectors and exact ties are unlabeled.  A lone vote from the trusted
+    source gets confidence 1, and any other lone vote epsilon."""
     n, ones = vector.n, sum(vector.votes)
     if 2 * ones == n:
         return MetadataSummary.unlabeled(vector.exam_id)
+    if n == 1 and trusted is not None and vector.sources[0] is trusted:
+        epsilon = 1.0
     return MetadataSummary.labeled(vector.exam_id, int(2 * ones > n), _confidence(ones, n, epsilon))
 
 

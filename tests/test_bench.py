@@ -287,6 +287,22 @@ def test_simulate_annotators_flip_rate():
     assert abs(flips / 100_000 - 0.3) < 0.01
 
 
+def test_simulate_annotators_tag_a_lone_vote_isup_and_more_votes_pirads():
+    rng = np.random.default_rng(2)
+    for n in range(1, 8):
+        vec = simulate_annotators("e", 1, AnnotatorParams(n, n, 0.0, 0.0), rng)
+        assert vec.sources == ((Source.ISUP,) if n == 1 else (Source.PIRADS,) * n)
+    # The tag follows the votes left after abstentions, not the annotator count.
+    counts = set()
+    for _ in range(200):
+        vec = simulate_annotators("e", 0, AnnotatorParams(1, 7, 0.3, 0.5), rng)
+        assert vec.sources == ((Source.ISUP,) if vec.n == 1 else (Source.PIRADS,) * vec.n)
+        counts.add(vec.n)
+    assert {0, 1, 2} <= counts
+    emptied = simulate_annotators("e", 1, AnnotatorParams(3, 3, 0.0, 0.0), rng, frac_unlabeled=1.0)
+    assert (emptied.votes, emptied.sources) == ((), ())
+
+
 def test_simulate_annotators_full_dropout():
     rng = np.random.default_rng(1)
     params = AnnotatorParams(3, 3, 0.0, 0.0)
@@ -551,8 +567,7 @@ def _reference_train(config, data, rng, spec):
         config.input_dim, config.hidden_dim, config.embed_dim, config.normalize_embeddings, rng
     )
     features = data.features
-    epsilon = spec.epsilon if spec.epsilon is not None else config.epsilon
-    summaries = [summarize(a, epsilon) for a in data.annotations]
+    summaries = [summarize(a, config.epsilon, spec.trusted) for a in data.annotations]
     velocity = {k: np.zeros_like(v) for k, v in encoder.params().items()}
     epoch_losses, sizes = [], set()
     for _ in range(config.epochs):
@@ -651,8 +666,7 @@ def test_eval_cell_equals_public_loss_over_the_whole_dataset(variant):
     v2 = augment(data.features, cfg.aug_sigma, rng)
     batch = ViewPairBatch(encoder.encode(v1), encoder.encode(v2))
     spec = variant_spec(variant)
-    epsilon = spec.epsilon if spec.epsilon is not None else cfg.epsilon
-    partition, kernel = batch_loss_inputs([summarize(a, epsilon) for a in data.annotations], spec)
+    partition, kernel = batch_loss_inputs([summarize(a, cfg.epsilon, spec.trusted) for a in data.annotations], spec)
     assert breakdown == loss_decoupled(batch, partition, kernel, spec.global_uniformity)
     assert align == float(np.trace(pairwise_distances(batch)) / batch.n)
     if variant == "proposed":
@@ -763,7 +777,7 @@ def test_study_variant_roster():
     assert STUDY_VARIANTS["proposed"].kernel is KernelVariant.PROPOSED
     assert STUDY_VARIANTS["hc"].kernel is KernelVariant.HIGH_CONFIDENCE
     assert STUDY_VARIANTS["majority"].kernel is KernelVariant.MAJORITY_VOTING
-    assert STUDY_VARIANTS["biopsy"].epsilon == 1.0
+    assert STUDY_VARIANTS["biopsy"].trusted is Source.ISUP
     assert STUDY_VARIANTS["glu"].global_uniformity is True
     assert STUDY_VARIANTS["unsupervised"].kernel is None
 

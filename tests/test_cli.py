@@ -11,10 +11,10 @@ import pytest
 
 from confcl import bench, io as cio
 from confcl.bench import batch_loss_inputs, variant_spec
-from confcl.cli import build_parser, main
+from confcl.cli import _random_summaries, build_parser, main
 from confcl.detection import DynamicThresholdParams
 from confcl.losses import BatchPartition, ViewPairBatch, loss_decoupled
-from confcl.metadata import MetadataSummary, summarize_batch
+from confcl.metadata import MetadataSummary, Source, summarize_batch
 
 
 def _run(capsys, argv):
@@ -155,6 +155,60 @@ def test_kernel_biopsy_keeps_trusting_isup_under_an_override(capsys, tmp_path, o
     assert cio.read_matrix_csv(str(out))[0, 1] == weight
 
 
+def test_kernel_biopsy_source_beats_the_variants_source(capsys, tmp_path):
+    # Under --biopsy-source pirads, biopsy trusts b's lone PI-RADS read and
+    # leaves a's lone ISUP vote at epsilon; c (confidence 1) reads both.
+    meta = _write_metadata(
+        tmp_path / "meta.csv", [("a", "isup", 2), ("b", "pirads", 5), ("c", "pirads", 5), ("c", "pirads", 4)]
+    )
+    out = tmp_path / "kernel.csv"
+    argv = ["kernel", "--metadata", meta, "--variant", "biopsy", "--biopsy-source", "pirads", "--out", str(out)]
+    assert _run(capsys, argv)[0] == 0
+    got = cio.read_matrix_csv(str(out))
+    assert (got[2, 0], got[2, 1]) == (0.1, 1.0)
+
+
+# A synthetic vote as an annotation CSV score: (vote 0, vote 1) per source.
+_SCORES = {Source.ISUP: (0, 3), Source.PIRADS: (1, 5)}
+
+
+@pytest.mark.parametrize("variant", ["proposed", "hc", "majority", "biopsy"])
+def test_kernel_on_a_study_datasets_annotations_equals_its_study_cell(capsys, tmp_path, variant):
+    # Seed 3's 64 exams include lone votes, which the synthetic sources tag
+    # ISUP; biopsy must trust them in the CLI as it does in the study.
+    cfg = bench.SynthConfig(n_exams=64)
+    data = bench.generate_dataset(cfg, 3)
+    assert any(a.n == 1 for a in data.annotations)
+    rows = [
+        (a.exam_id, s.value, _SCORES[s][v]) for a in data.annotations for v, s in zip(a.votes, a.sources)
+    ]
+    meta = _write_metadata(tmp_path / "meta.csv", rows)
+    out = tmp_path / "kernel.csv"
+    assert _run(capsys, ["kernel", "--metadata", meta, "--variant", variant, "--out", str(out)])[0] == 0
+    expected = bench.study_cell(cfg, data, variant).weights
+    assert np.array_equal(cio.read_matrix_csv(str(out)), expected)
+    if variant == "biopsy":
+        assert not np.array_equal(expected, bench.study_cell(cfg, data, "proposed").weights)
+
+
+def test_gradcheck_biopsy_trusts_exactly_the_lone_vote_exams():
+    n, epsilon = 64, 0.1
+    biopsy = _random_summaries(n, np.random.default_rng(5), epsilon, variant_spec("biopsy").trusted)
+    proposed = _random_summaries(n, np.random.default_rng(5), epsilon, variant_spec("proposed").trusted)
+    # The same draws _random_summaries makes: a vote count, then the votes.
+    rng, lone = np.random.default_rng(5), []
+    for _ in range(n):
+        n_votes = int(rng.integers(0, 8))
+        rng.integers(0, 2, n_votes)
+        lone.append(n_votes == 1)
+    assert any(lone) and not all(lone)
+    for b, p, is_lone in zip(biopsy, proposed, lone, strict=True):
+        if is_lone:
+            assert (b.label, b.confidence, p.confidence) == (p.label, 1.0, epsilon)
+        else:
+            assert b == p
+
+
 @pytest.mark.parametrize("command", ["kernel", "loss"])
 def test_epsilon_override_of_an_absent_exam_names_it_and_the_file(capsys, tmp_path, command):
     _, _, p1, p2 = _write_views(tmp_path)
@@ -177,6 +231,13 @@ def test_loss_epsilon_override_needs_metadata(capsys, tmp_path):
     assert json.loads(stderr)["message"] == "--epsilon-override needs --metadata"
 
 
+def test_loss_biopsy_source_needs_metadata(capsys, tmp_path):
+    _, _, p1, p2 = _write_views(tmp_path)
+    code, stdout, stderr = _run(capsys, ["loss", "--x1", p1, "--x2", p2, "--biopsy-source", "isup"])
+    assert (code, stdout) == (1, "")
+    assert json.loads(stderr)["message"] == "--biopsy-source needs --metadata"
+
+
 @pytest.mark.parametrize(
     "command, flag",
     [("kernel", "--out"), ("loss", "--out"), ("eval-detect", "--out"), ("eval-detect", "--csv")],
@@ -197,6 +258,27 @@ def test_output_in_a_missing_directory_fails_before_reading(capsys, tmp_path, co
     assert err["error"] == "FileNotFoundError"
     assert f"no directory for {flag}" in err["message"] and str(target) in err["message"]
     assert missing not in err["message"]
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [("kernel", "--out"), ("loss", "--out"), ("eval-detect", "--out"), ("eval-detect", "--csv")],
+)
+def test_output_that_is_a_directory_fails_before_reading(capsys, tmp_path, command, flag):
+    missing = str(tmp_path / "missing.in")
+    inputs = {
+        "kernel": ["--metadata", missing],
+        "loss": ["--x1", missing, "--x2", missing, "--metadata", missing],
+        "eval-detect": ["--prob", missing, "--ref", missing],
+    }[command]
+    target = tmp_path / "outdir"
+    target.mkdir()
+    code, stdout, stderr = _run(capsys, [command, *inputs, flag, str(target)])
+    assert (code, stdout) == (1, "")
+    err = json.loads(stderr)
+    assert err["error"] == "IsADirectoryError"
+    assert f"{flag} is a directory" in err["message"] and str(target) in err["message"]
+    assert ".tmp-confcl" not in err["message"] and os.listdir(target) == []
 
 
 @pytest.mark.parametrize("command", ["kernel", "loss"])
@@ -889,6 +971,23 @@ def test_simulate_output_in_a_missing_directory_fails_before_the_study(
     assert (code, stdout) == (1, "")
     err = json.loads(stderr)
     assert err["error"] == "FileNotFoundError"
+    assert flag in err["message"] and str(target) in err["message"]
+
+
+@pytest.mark.parametrize("flag", ["--out", "--cells-csv", "--summary-csv"])
+def test_simulate_output_that_is_a_directory_fails_before_the_study(capsys, tmp_path, monkeypatch, flag):
+    def no_study(*args, **kwargs):
+        raise AssertionError("run_study called")
+
+    monkeypatch.setattr(bench, "run_study", no_study)
+    target = tmp_path / "outdir"
+    target.mkdir()
+    code, stdout, stderr = _run(
+        capsys, ["simulate", "--config", _tiny_config(tmp_path), "--seeds", "0", flag, str(target)]
+    )
+    assert (code, stdout) == (1, "")
+    err = json.loads(stderr)
+    assert err["error"] == "IsADirectoryError"
     assert flag in err["message"] and str(target) in err["message"]
 
 

@@ -402,6 +402,16 @@ def test_writer_in_a_missing_directory_names_the_target(tmp_path):
     assert ".tmp-confcl" not in str(info.value)
 
 
+def test_writer_onto_a_directory_names_the_target_and_leaves_no_debris(tmp_path):
+    target = tmp_path / "out"
+    target.mkdir()
+    with pytest.raises(IsADirectoryError) as info:
+        write_matrix_csv(str(target), np.eye(2))
+    assert info.value.filename == str(target)
+    assert ".tmp-confcl" not in str(info.value)
+    assert (os.listdir(tmp_path), os.listdir(target)) == (["out"], [])
+
+
 def test_matrix_csv_writer_memory_stays_near_one_block(tmp_path):
     # The 1024 x 1024 matrix is itself 8 MB; one token table over the whole
     # matrix peaks at about 40 MB.
@@ -686,6 +696,17 @@ def test_atomic_write_output_follows_the_umask(tmp_path, umask, mode):
     finally:
         os.umask(previous)
     assert target.stat().st_mode & 0o777 == mode
+
+
+def test_atomic_write_leaves_the_process_umask_alone(tmp_path, monkeypatch):
+    # Setting the umask, even to read it, changes it for every thread.
+    def no_umask(mask):
+        raise AssertionError("atomic_write set the umask")
+
+    monkeypatch.setattr(os, "umask", no_umask)
+    with atomic_write(str(tmp_path / "out.txt")) as handle:
+        handle.write("new")
+    assert (tmp_path / "out.txt").read_text() == "new"
 
 
 def test_json_report_bytes_are_order_independent(tmp_path):
