@@ -37,6 +37,7 @@ from .metadata import (
     KernelVariant,
     Source,
     check_epsilon,
+    check_field_types,
     kernel_matrix,
     summarize,
 )
@@ -87,22 +88,6 @@ class TrainingDivergedError(RuntimeError):
         self.breakdown = breakdown
 
 
-def _require_ints(obj, names: tuple[str, ...]) -> None:
-    """Reject bools and non-integers, which would pass the range checks."""
-    for name in names:
-        value = getattr(obj, name)
-        if type(value) is not int:
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-
-
-def _require_floats(obj, names: tuple[str, ...]) -> None:
-    """Reject bools and non-numbers; each range check then also fails NaN and inf."""
-    for name in names:
-        value = getattr(obj, name)
-        if type(value) is bool or not isinstance(value, (int, float)):
-            raise ValueError(f"{name} must be a number, got {value!r}")
-
-
 @dataclass(frozen=True)
 class AnnotatorParams:
     n_min: int = 1
@@ -111,8 +96,7 @@ class AnnotatorParams:
     p_abstain: float = 0.1
 
     def __post_init__(self) -> None:
-        _require_ints(self, ("n_min", "n_max"))
-        _require_floats(self, ("p_flip", "p_abstain"))
+        check_field_types(self)
         if not (1 <= self.n_min <= self.n_max <= 7):
             raise ValueError("need 1 <= n_min <= n_max <= 7")
         for name in ("p_flip", "p_abstain"):
@@ -141,13 +125,7 @@ class SynthConfig:
     epsilon: float = DEFAULT_EPSILON
 
     def __post_init__(self) -> None:
-        _require_ints(
-            self, ("n_exams", "input_dim", "hidden_dim", "embed_dim", "epochs", "batch_size", "seed")
-        )
-        _require_floats(self, ("class_separation", "noise_sigma", "aug_sigma", "frac_unlabeled"))
-        _require_floats(self, ("learning_rate", "momentum", "epsilon"))
-        if type(self.normalize_embeddings) is not bool:
-            raise ValueError(f"normalize_embeddings must be a bool, got {self.normalize_embeddings!r}")
+        check_field_types(self)
         for name in ("input_dim", "hidden_dim", "embed_dim", "batch_size"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")

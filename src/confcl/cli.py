@@ -87,13 +87,21 @@ def _read_summaries(
 
 def _check_output_dirs(args: argparse.Namespace, *flags: str) -> None:
     """Fail before any input is read, not after the work, when an output
-    given by one of these flags is a directory or has no directory."""
+    given by one of these flags is a directory, has no directory, or is
+    the file an earlier flag names."""
+    given: dict[str, str] = {}
     for flag in flags:
         path = getattr(args, flag[2:].replace("-", "_"))
-        if path is not None and os.path.isdir(path):
+        if path is None:
+            continue
+        if os.path.isdir(path):
             raise IsADirectoryError(errno.EISDIR, f"{flag} is a directory", path)
-        if path is not None and not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+        if not os.path.isdir(os.path.dirname(os.path.abspath(path))):
             raise FileNotFoundError(errno.ENOENT, f"no directory for {flag}", path)
+        real = os.path.realpath(path)
+        if real in given:
+            raise ValueError(f"{given[real]} and {flag} both name {path}")
+        given[real] = flag
 
 
 # ---------------------------------------------------------------------------
@@ -182,6 +190,7 @@ def _random_summaries(
 def _cmd_gradcheck(args: argparse.Namespace) -> int:
     if not 0.0 <= args.tol < np.inf:
         raise ValueError(f"--tol must be finite and >= 0, got {args.tol!r}")
+    metadata.check_epsilon(args.epsilon, "--epsilon")
     rng = np.random.default_rng(args.seed)
     batch = losses.ViewPairBatch(
         rng.normal(0.0, 1.0, (args.n, args.d)), rng.normal(0.0, 1.0, (args.n, args.d))

@@ -23,6 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .io import BinaryMask, ProbVolume
+from .metadata import check_field_types
 
 __all__ = [
     "ProbVolume",
@@ -128,14 +129,7 @@ class DynamicThresholdParams:
     min_voxels: int = 10
 
     def __post_init__(self) -> None:
-        # A bool, or a fractional count, would pass the range checks below.
-        for name in ("t_start", "t_min", "step"):
-            value = getattr(self, name)
-            if type(value) is bool or not isinstance(value, (int, float)):
-                raise ValueError(f"{name} must be a number, got {value!r}")
-        for name in ("max_candidates", "min_voxels"):
-            if type(getattr(self, name)) is not int:
-                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        check_field_types(self)
         if not (0.0 <= self.t_min <= self.t_start <= 1.0):
             raise ValueError("need 0 <= t_min <= t_start <= 1")
         if not (0.0 < self.step < math.inf):

@@ -12,7 +12,7 @@ the confidence weighting.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -27,6 +27,7 @@ __all__ = [
     "KernelMatrix",
     "binarize",
     "check_epsilon",
+    "check_field_types",
     "confidence",
     "summarize",
     "summarize_batch",
@@ -195,10 +196,22 @@ def check_epsilon(epsilon: float, name: str = "epsilon") -> float:
     return epsilon
 
 
+def check_field_types(settings) -> None:
+    """ValueError for the first int, float or bool field of a settings dataclass
+    whose value is not that type; a float takes an int, but never a bool."""
+    for f in fields(settings):
+        value = getattr(settings, f.name)
+        if f.type == "int" and type(value) is not int:
+            raise ValueError(f"{f.name} must be an integer, got {value!r}")
+        if f.type == "float" and (type(value) is bool or not isinstance(value, (int, float))):
+            raise ValueError(f"{f.name} must be a number, got {value!r}")
+        if f.type == "bool" and type(value) is not bool:
+            raise ValueError(f"{f.name} must be a bool, got {value!r}")
+
+
 def _confidence(ones: int, n: int, epsilon: float) -> float:
     """Confidence of n >= 1 votes, ones of them 1: epsilon for a single vote,
     else (2 * majority - n) / n, which int true division rounds once."""
-    check_epsilon(epsilon)
     if n == 1:
         return epsilon
     return (2 * max(ones, n - ones) - n) / n
@@ -212,6 +225,7 @@ def confidence(votes: tuple[int, ...] | list[int], epsilon: float = DEFAULT_EPSI
     1 for unanimity, and strictly increasing in the majority count.  The
     ratio is formed in exact integer arithmetic and rounded to float once.
     """
+    check_epsilon(epsilon)
     n = len(votes)
     if n == 0:
         raise AnnotationError("confidence of an empty vote vector is undefined")
@@ -224,6 +238,7 @@ def summarize(
     """Collapse an exam's votes to a labeled or unlabeled summary; empty
     vectors and exact ties are unlabeled.  A lone vote from the trusted
     source gets confidence 1, and any other lone vote epsilon."""
+    check_epsilon(epsilon)
     n, ones = vector.n, sum(vector.votes)
     if 2 * ones == n:
         return MetadataSummary.unlabeled(vector.exam_id)

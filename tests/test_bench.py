@@ -1,5 +1,6 @@
 """Synthetic benchmark tests: data generation, training, probing, studies."""
 
+import dataclasses
 import json
 from collections import Counter
 
@@ -28,6 +29,7 @@ from confcl.bench import (
     train,
     variant_spec,
 )
+from confcl.detection import DynamicThresholdParams
 from confcl.losses import (
     BatchPartition,
     ViewPairBatch,
@@ -154,6 +156,27 @@ def test_float_fields_reject_bools_strings_and_non_finite_values(make, name, bad
     # TypeError, and nan or inf pass the open-ended ones.
     with pytest.raises(ValueError, match=rf"^{name} "):
         make(**{name: bad})
+
+
+# Two wrong values per declared type; AnnotatorParams is SynthConfig.annotator's type.
+_WRONG_VALUES = {"int": (True, 2.0), "float": (True, "0.5"), "bool": (1, "no"), "AnnotatorParams": ()}
+_NOUNS = {"int": "an integer", "float": "a number", "bool": "a bool"}
+
+
+@pytest.mark.parametrize(
+    "make, name, kind, bad",
+    [
+        pytest.param(make, f.name, f.type, bad, id=f"{make.__name__}.{f.name}={bad!r}")
+        for make in (SynthConfig, AnnotatorParams, DynamicThresholdParams)
+        for f in dataclasses.fields(make)
+        for bad in _WRONG_VALUES[f.type]
+    ],
+)
+def test_every_settings_field_rejects_values_not_of_its_declared_type(make, name, kind, bad):
+    with pytest.raises(ValueError) as info:
+        make(**{name: bad})
+    assert type(info.value) is ValueError
+    assert str(info.value) == f"{name} must be {_NOUNS[kind]}, got {bad!r}"
 
 
 def test_config_allows_zero_learning_rate():

@@ -606,6 +606,15 @@ def test_gradcheck_rejects_a_bad_step_or_tolerance(capsys, flag, fragment):
     assert fragment in err["message"]
 
 
+def test_gradcheck_checks_epsilon_before_drawing_any_exam(capsys):
+    # Seed 5's two random exams are tied or empty, so no summary uses epsilon.
+    code, stdout, stderr = _run(
+        capsys, ["gradcheck", "--n", "2", "--d", "2", "--seed", "5", "--epsilon", "7"]
+    )
+    assert (code, stdout) == (1, "")
+    assert json.loads(stderr) == {"error": "AnnotationError", "message": "--epsilon 7.0 outside (0, 1]"}
+
+
 # ---------------------------------------------------------------------------
 # eval-detect
 
@@ -989,6 +998,44 @@ def test_simulate_output_that_is_a_directory_fails_before_the_study(capsys, tmp_
     err = json.loads(stderr)
     assert err["error"] == "IsADirectoryError"
     assert flag in err["message"] and str(target) in err["message"]
+
+
+@pytest.mark.parametrize(
+    "first, second",
+    [("--out", "--cells-csv"), ("--out", "--summary-csv"), ("--cells-csv", "--summary-csv")],
+)
+def test_simulate_outputs_naming_one_file_fail_before_the_study(
+    capsys, tmp_path, monkeypatch, first, second
+):
+    def no_study(*args, **kwargs):
+        raise AssertionError("run_study called")
+
+    monkeypatch.setattr(bench, "run_study", no_study)
+    target = tmp_path / "r.json"
+    argv = ["simulate", "--config", _tiny_config(tmp_path), "--seeds", "0"]
+    code, stdout, stderr = _run(capsys, [*argv, first, str(target), second, str(target)])
+    assert (code, stdout) == (1, "")
+    assert json.loads(stderr) == {"error": "ValueError", "message": f"{first} and {second} both name {target}"}
+    assert not target.exists()
+
+
+def test_eval_detect_outputs_naming_one_file_fail_before_reading(capsys, tmp_path, monkeypatch):
+    def no_read(*args, **kwargs):
+        raise AssertionError("input read")
+
+    monkeypatch.setattr(cio, "read_volume", no_read)
+    monkeypatch.setattr(cio, "read_mask", no_read)
+    (tmp_path / "sub").mkdir()
+    target = tmp_path / "r.json"
+    # Another spelling of the same file, through a symlink and a parent step.
+    os.symlink(target, tmp_path / "link.json")
+    other = str(tmp_path / "sub" / ".." / "link.json")
+    missing = str(tmp_path / "missing.in")
+    argv = ["eval-detect", "--prob", missing, "--ref", missing, "--out", str(target), "--csv", other]
+    code, stdout, stderr = _run(capsys, argv)
+    assert (code, stdout) == (1, "")
+    assert json.loads(stderr) == {"error": "ValueError", "message": f"--out and --csv both name {other}"}
+    assert sorted(os.listdir(tmp_path)) == ["link.json", "sub"]
 
 
 @pytest.mark.parametrize(

@@ -214,6 +214,20 @@ def test_summarize_single_vote_uses_epsilon():
     assert (s.label, s.confidence) == (0, 1.0)
 
 
+@pytest.mark.parametrize(
+    "votes, sources, epsilon, trusted",
+    [
+        ((), (), 7.0, None),
+        ((1, 0), (Source.PIRADS, Source.PIRADS), -1.0, None),
+        ((1,), (Source.ISUP,), 7.0, Source.ISUP),
+    ],
+    ids=["empty", "tie", "trusted-lone-vote"],
+)
+def test_summarize_checks_epsilon_where_no_vote_uses_it(votes, sources, epsilon, trusted):
+    with pytest.raises(AnnotationError, match=rf"^epsilon {epsilon} outside \(0, 1\]$"):
+        summarize(AnnotationVector("e", votes, sources), epsilon, trusted)
+
+
 def test_summarize_batch_maps_each_vector():
     out = summarize_batch([_vector("a", [1]), _vector("b", [1, 0])])
     assert [s.exam_id for s in out] == ["a", "b"]
