@@ -3,9 +3,9 @@
 The package exposes only ``__version__``; import from the submodules::
 
     from confcl.losses import ViewPairBatch, loss_decoupled, partition_batch
-    from confcl.metadata import kernel_matrix, summarize_batch
+    from confcl.metadata import kernel_matrix, summarize
 
-    summaries = summarize_batch(vectors)
+    summaries = [summarize(v) for v in vectors]
     part = partition_batch(summaries)
     kernel = kernel_matrix([summaries[i] for i in part.labeled])
     breakdown = loss_decoupled(batch, part, kernel)

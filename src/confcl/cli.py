@@ -85,23 +85,31 @@ def _read_summaries(
     ]
 
 
-def _check_output_dirs(args: argparse.Namespace, *flags: str) -> None:
+def _given(args: argparse.Namespace, flags: tuple[str, ...]) -> list[tuple[str, str]]:
+    """(flag, path) for each path these flags were given, repeats included."""
+    values = {flag: getattr(args, flag[2:].replace("-", "_")) for flag in flags}
+    return [
+        (f, p) for f, v in values.items() for p in (v if isinstance(v, list) else [v]) if p is not None
+    ]
+
+
+def _check_paths(args: argparse.Namespace) -> None:
     """Fail before any input is read, not after the work, when an output
-    given by one of these flags is a directory, has no directory, or is
-    the file an earlier flag names."""
-    given: dict[str, str] = {}
-    for flag in flags:
-        path = getattr(args, flag[2:].replace("-", "_"))
-        if path is None:
-            continue
+    (a flag in args.outputs) is a directory, has no directory, or is the
+    file of an input (args.inputs) or of an earlier output: the same real
+    path, or an existing file os.path.samefile matches, as a hard link."""
+    named = _given(args, args.inputs)
+    for flag, path in _given(args, args.outputs):
         if os.path.isdir(path):
             raise IsADirectoryError(errno.EISDIR, f"{flag} is a directory", path)
         if not os.path.isdir(os.path.dirname(os.path.abspath(path))):
             raise FileNotFoundError(errno.ENOENT, f"no directory for {flag}", path)
-        real = os.path.realpath(path)
-        if real in given:
-            raise ValueError(f"{given[real]} and {flag} both name {path}")
-        given[real] = flag
+        for other, earlier in named:
+            if os.path.realpath(earlier) == os.path.realpath(path) or (
+                os.path.exists(earlier) and os.path.exists(path) and os.path.samefile(earlier, path)
+            ):
+                raise ValueError(f"{other} and {flag} both name {path}")
+        named.append((flag, path))
 
 
 # ---------------------------------------------------------------------------
@@ -110,18 +118,18 @@ def _check_output_dirs(args: argparse.Namespace, *flags: str) -> None:
 
 
 def _cmd_kernel(args: argparse.Namespace) -> int:
-    _check_output_dirs(args, "--out")
     summaries = _read_summaries(args, _parse_overrides(args))
-    partition, kernel = bench.batch_loss_inputs(summaries, bench.variant_spec(args.variant))
-    weights = kernel.weights if kernel is not None else np.zeros((0, 0))
-    cio.write_matrix_csv(args.out, weights)
+    variant = bench.variant_spec(args.variant).kernel
+    partition = losses.partition_batch(summaries, variant)
+    classes, table = metadata.kernel_classes([summaries[i] for i in partition.labeled], variant)
+    cio.write_kernel_csv(args.out, classes, table)
     _print_json(
         {
             "variant": args.variant,
             "epsilon": args.epsilon,
             "labeled": [summaries[i].exam_id for i in partition.labeled],
             "unlabeled": [summaries[i].exam_id for i in partition.unlabeled],
-            "shape": list(weights.shape),
+            "shape": [len(classes)] * 2,
             "out": args.out,
         },
         None,
@@ -144,7 +152,6 @@ def _load_views(args: argparse.Namespace) -> losses.ViewPairBatch:
 
 
 def _cmd_loss(args: argparse.Namespace) -> int:
-    _check_output_dirs(args, "--out")
     overrides = _parse_overrides(args)
     for flag, given in (("--epsilon-override", overrides), ("--biopsy-source", args.biopsy_source)):
         if given and args.metadata is None:
@@ -223,7 +230,6 @@ def _cmd_gradcheck(args: argparse.Namespace) -> int:
 
 
 def _cmd_eval_detect(args: argparse.Namespace) -> int:
-    _check_output_dirs(args, "--out", "--csv")
     if len(args.prob) != len(args.ref):
         raise ValueError(
             f"{len(args.prob)} --prob files but {len(args.ref)} --ref files"
@@ -312,7 +318,6 @@ def _exam_entry(r: detection.ExamResult) -> dict:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    _check_output_dirs(args, "--out", "--cells-csv", "--summary-csv")
     if args.config is not None:
         raw = cio.read_json(args.config)
         try:
@@ -407,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_metadata_opts(p_kernel, required=True)
     p_kernel.add_argument("--variant", choices=KERNEL_VARIANT_NAMES, default="proposed")
     p_kernel.add_argument("--out", required=True, help="output CSV path")
-    p_kernel.set_defaults(func=_cmd_kernel)
+    p_kernel.set_defaults(func=_cmd_kernel, inputs=("--metadata",), outputs=("--out",))
 
     p_loss = sub.add_parser("loss", help="loss breakdown for one embedding batch")
     p_loss.add_argument("--embeddings", help="EMB1 binary file with both views")
@@ -417,7 +422,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_loss.add_argument("--variant", choices=VARIANT_NAMES, default="proposed")
     p_loss.add_argument("--normalize", action="store_true", help="L2-normalize rows first")
     p_loss.add_argument("--out", default=None, help="output JSON path (default stdout)")
-    p_loss.set_defaults(func=_cmd_loss)
+    p_loss.set_defaults(
+        func=_cmd_loss, inputs=("--embeddings", "--x1", "--x2", "--metadata"), outputs=("--out",)
+    )
 
     p_grad = sub.add_parser("gradcheck", help="analytic vs finite-difference gradients")
     p_grad.add_argument("--n", type=int, default=6)
@@ -427,7 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_grad.add_argument("--epsilon", type=float, default=metadata.DEFAULT_EPSILON)
     p_grad.add_argument("--h", type=float, default=1e-5)
     p_grad.add_argument("--tol", type=float, default=1e-4)
-    p_grad.set_defaults(func=_cmd_gradcheck)
+    p_grad.set_defaults(func=_cmd_gradcheck, inputs=(), outputs=())
 
     p_eval = sub.add_parser("eval-detect", help="detection metrics for volume/mask pairs")
     p_eval.add_argument("--prob", action="append", required=True, help="VOL1 file (repeatable)")
@@ -440,7 +447,7 @@ def build_parser() -> argparse.ArgumentParser:
         p_eval.add_argument("--" + f.name.replace("_", "-"), type=type(f.default), default=f.default)
     p_eval.add_argument("--out", default=None, help="output JSON path (default stdout)")
     p_eval.add_argument("--csv", default=None, help="metric,value,n CSV path")
-    p_eval.set_defaults(func=_cmd_eval_detect)
+    p_eval.set_defaults(func=_cmd_eval_detect, inputs=("--prob", "--ref"), outputs=("--out", "--csv"))
 
     p_sim = sub.add_parser("simulate", help="run the synthetic variant study")
     p_sim.add_argument("--config", default=None, help="SynthConfig JSON (default: built-in)")
@@ -451,7 +458,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--out", default=None, help="report JSON path (default stdout)")
     p_sim.add_argument("--cells-csv", default=None, help="per-cell CSV path")
     p_sim.add_argument("--summary-csv", default=None, help="per-variant mean/std CSV path")
-    p_sim.set_defaults(func=_cmd_simulate)
+    p_sim.set_defaults(
+        func=_cmd_simulate, inputs=("--config",), outputs=("--out", "--cells-csv", "--summary-csv")
+    )
 
     return parser
 
@@ -460,6 +469,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_paths(args)
         return args.func(args)
     # FileFormatError, AnnotationError and DegenerateUniformityError are ValueErrors.
     except (ValueError, OSError) as exc:

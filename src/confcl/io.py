@@ -5,7 +5,9 @@ text formats are UTF-8 with LF newlines and comma separators, and a
 text reader reports a byte that is not UTF-8 as a FileFormatError
 naming the file and its line.  The annotation CSV reader checks,
 binarizes and groups rows in one pass.  Numeric CSV cells use 17
-significant digits so 64-bit values round-trip exactly.
+significant digits so 64-bit values round-trip exactly; the matrix
+writer formats each block of rows from its distinct values, and the
+kernel writer joins its K class rows once, in memory linear in N.
 All writers go through a temp-file-plus-rename so readers never observe
 a partial file, and the renamed file gets the mode the umask allows.
 ``ProbVolume`` and ``BinaryMask`` alone state what VOL1 and MSK1 files hold:
@@ -37,6 +39,7 @@ __all__ = [
     "write_metadata_rows",
     "read_metadata_csv",
     "write_matrix_csv",
+    "write_kernel_csv",
     "read_matrix_csv",
     "write_embeddings",
     "read_embeddings",
@@ -57,10 +60,8 @@ MSK_MAGIC = b"MSK1"
 
 METADATA_HEADER = ["exam_id", "source", "value"]
 
-# Cells per block of rows in write_matrix_csv, and the most comma-joined
-# runs of cells it formats for one table of values.
+# Cells per block of rows in write_matrix_csv.
 _CSV_BLOCK_CELLS = 2**15
-_CSV_GRAM_TOKENS = 2**12
 
 
 class FileFormatError(ValueError):
@@ -212,14 +213,10 @@ def write_matrix_csv(path: str, matrix: np.ndarray) -> None:
     A NaN or infinity, which read_matrix_csv rejects, raises ValueError
     naming its row and column before any file is made; an empty matrix
     writes an empty file.  Rows go out as ASCII in blocks of about
-    _CSV_BLOCK_CELLS cells (at least one row).  Cells are keyed on their
-    bit pattern, so 0.0 and -0.0 keep their own text, and looked up in the
-    sorted table of the last block that had to build one; only a block
-    with a value outside it builds its own (a kernel holds a handful of
-    values).  A row joins runs of g cells from _csv_tokens, found by their
-    mixed-radix code, then its cols % g leftover cells.  The bytes equal a
-    per-cell join, and the temporaries scale with one block and at most
-    _CSV_GRAM_TOKENS runs, not with the matrix.
+    _CSV_BLOCK_CELLS cells (at least one row).  Each block formats its
+    distinct values once, keyed on their bit pattern so 0.0 and -0.0 keep
+    their own text, and joins its rows from them; the temporaries scale
+    with one block, not with the matrix.
     """
     m = np.atleast_2d(np.asarray(matrix, dtype=np.float64))
     if m.ndim != 2:
@@ -228,40 +225,31 @@ def write_matrix_csv(path: str, matrix: np.ndarray) -> None:
     if m.size and not (np.isfinite(m.min()) and np.isfinite(m.max())):
         row, col = np.argwhere(~np.isfinite(m))[0]
         raise ValueError(f"matrix cell at row {row}, column {col} is {m[row, col]}, not finite")
-    cols = m.shape[1]
-    rows_per_block = max(1, _CSV_BLOCK_CELLS // max(1, cols))
-    bits = np.empty(0, dtype=np.uint64)
+    rows_per_block = max(1, _CSV_BLOCK_CELLS // max(1, m.shape[1]))
     with atomic_write(path, binary=True) as handle:
         for start in range(0, m.shape[0], rows_per_block):
             keys = m[start : start + rows_per_block].view(np.uint64)
-            index = np.searchsorted(bits, keys)
-            if not (bits.size and (bits.take(index, mode="clip") == keys).all()):
-                bits, index = np.unique(keys, return_inverse=True)
-                index = index.reshape(keys.shape)
-                cells, g, grams = _csv_tokens(bits, cols)
-            whole = cols - cols % g
-            code = index[:, 0:whole:g]
-            for j in range(1, g):
-                code = code * bits.size + index[:, j:whole:g]
-            tokens = grams[code]
-            if whole < cols:
-                tokens = np.concatenate([tokens, cells[index[:, whole:]]], axis=1)
-            handle.write(("\n".join(map(",".join, tokens.tolist())) + "\n").encode("ascii"))
+            bits, index = np.unique(keys, return_inverse=True)
+            cells = np.array([fmt_float(v) for v in bits.view(np.float64)], dtype=object)
+            tokens = cells[index.reshape(keys.shape)].tolist()
+            handle.write(("\n".join(map(",".join, tokens)) + "\n").encode("ascii"))
 
 
-def _csv_tokens(bits: np.ndarray, cols: int) -> tuple[np.ndarray, int, np.ndarray]:
-    """The fmt_float text of each of K sorted bit patterns, g, and the K**g
-    comma-joined runs of g of those texts, the run (i_1, ..., i_g) at
-    i_1 * K**(g - 1) + ... + i_g.  g is the largest length with g <= 8,
-    g <= cols and K**g <= _CSV_GRAM_TOKENS, and 1 if there is none."""
-    cells = [fmt_float(v) for v in bits.view(np.float64)]
-    g = 1
-    while g < min(8, cols) and bits.size ** (g + 1) <= _CSV_GRAM_TOKENS:
-        g += 1
-    grams = cells
-    for _ in range(g - 1):
-        grams = [f"{run},{cell}" for run in grams for cell in cells]
-    return np.array(cells, dtype=object), g, np.array(grams, dtype=object)
+def write_kernel_csv(path: str, classes: np.ndarray, table: np.ndarray) -> None:
+    """The bytes write_matrix_csv writes for metadata.kernel_classes' table
+    gathered over classes with a unit diagonal, in memory linear in N: each
+    class's row is joined once with each cell's end offset, and row i is its
+    class's row with cell i replaced by fmt_float(1.0)."""
+    order = np.asarray(classes).tolist()
+    texts = [[fmt_float(v) for v in row] for row in table]
+    widths = np.array([list(map(len, row)) for row in texts], dtype=np.intp).reshape(np.shape(table))
+    lines = [(",".join(map(row.__getitem__, order)) + "\n").encode("ascii") for row in texts]
+    ends = (np.cumsum(widths[:, order] + 1, axis=1) - 1)[order, np.arange(len(order))]
+    one = fmt_float(1.0).encode("ascii")
+    with atomic_write(path, binary=True) as handle:
+        for k, start, end in zip(order, (ends - widths[order, order]).tolist(), ends.tolist()):
+            line = memoryview(lines[k])
+            handle.writelines((line[:start], one, line[end:]))
 
 
 def read_matrix_csv(path: str) -> np.ndarray:

@@ -31,6 +31,7 @@ __all__ = [
     "confidence",
     "summarize",
     "summarize_batch",
+    "kernel_classes",
     "kernel_matrix",
 ]
 
@@ -248,6 +249,7 @@ def summarize(
 
 
 def summarize_batch(vectors: list[AnnotationVector], epsilon: float = DEFAULT_EPSILON) -> list[MetadataSummary]:
+    """summarize of each vector with no trusted source, so not for the biopsy variant."""
     return [summarize(v, epsilon) for v in vectors]
 
 
@@ -256,31 +258,30 @@ def summarize_batch(vectors: list[AnnotationVector], epsilon: float = DEFAULT_EP
 # ---------------------------------------------------------------------------
 
 
-def kernel_matrix(
+def kernel_classes(
     summaries: list[MetadataSummary],
     variant: KernelVariant = KernelVariant.PROPOSED,
-) -> KernelMatrix:
-    """Full pairwise weight matrix for a batch of labeled exams.
-
-    The diagonal (two views of one exam) is 1.  Off the diagonal, pairs
-    with different labels weigh 0 and equal-label pairs weigh
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each labeled exam's class among the K distinct (label, confidence)
+    pairs, each taken from its first exam, and the K x K off-diagonal
+    weights between classes: 0 for different labels, and for equal labels
 
     - PROPOSED: min(c_i, c_j),
     - HIGH_CONFIDENCE: 0.8 when both confidences are exactly 1, else 0,
     - MAJORITY_VOTING: 0.8 flat,
 
-    so the result is symmetric with entries in [0, 1].
+    so the table is symmetric with entries in [0, 1].
     """
     for s in summaries:
         if not s.is_labeled:
             raise AnnotationError(
                 f"exam {s.exam_id!r} is unlabeled; kernels are built over labeled exams"
             )
-    n = len(summaries)
-    if n == 0:
-        return KernelMatrix(np.zeros((0, 0), dtype=np.float64))
     labels = np.array([s.label for s in summaries])
     conf = np.array([s.confidence for s in summaries], dtype=np.float64)
+    pairs = np.stack([labels, conf], axis=1)
+    _, first, classes = np.unique(pairs, axis=0, return_index=True, return_inverse=True)
+    labels, conf = labels[first], conf[first]
     equal = labels[:, None] == labels[None, :]
     if variant is KernelVariant.PROPOSED:
         w = np.where(equal, np.minimum(conf[:, None], conf[None, :]), 0.0)
@@ -291,5 +292,15 @@ def kernel_matrix(
         w = np.where(equal, COARSE_WEIGHT, 0.0)
     else:
         raise ValueError(f"unknown kernel variant {variant!r}")
+    return classes.reshape(-1), w
+
+
+def kernel_matrix(
+    summaries: list[MetadataSummary],
+    variant: KernelVariant = KernelVariant.PROPOSED,
+) -> KernelMatrix:
+    """kernel_classes' weights over every pair of exams, 1 on the diagonal (two views of one exam)."""
+    classes, table = kernel_classes(summaries, variant)
+    w = table[classes[:, None], classes]
     np.fill_diagonal(w, 1.0)
     return KernelMatrix(w)

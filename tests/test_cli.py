@@ -1038,6 +1038,79 @@ def test_eval_detect_outputs_naming_one_file_fail_before_reading(capsys, tmp_pat
     assert sorted(os.listdir(tmp_path)) == ["link.json", "sub"]
 
 
+def _another_name(tmp_path, path, spelling):
+    """path itself, or another name for its file: a symlink reached through a
+    parent step, or a hard link."""
+    if spelling == "same":
+        return path
+    if spelling == "symlink":
+        os.symlink(path, tmp_path / "link")
+        (tmp_path / "sub").mkdir()
+        return str(tmp_path / "sub" / ".." / "link")
+    os.link(path, tmp_path / "hard")
+    return str(tmp_path / "hard")
+
+
+_SPELLINGS = ["same", "symlink", "hard link"]
+
+
+def _refused_over_input(capsys, argv, input_flag, input_path, output_flag, output_path):
+    """Run argv, whose output_flag names input_path's file: exit 1 with an error
+    naming both flags, and the input's bytes untouched."""
+    before = open(input_path, "rb").read()
+    code, stdout, stderr = _run(capsys, argv)
+    assert (code, stdout) == (1, "")
+    message = f"{input_flag} and {output_flag} both name {output_path}"
+    assert json.loads(stderr) == {"error": "ValueError", "message": message}
+    assert open(input_path, "rb").read() == before
+
+
+@pytest.mark.parametrize("spelling", _SPELLINGS)
+def test_kernel_refuses_an_output_on_its_metadata(capsys, tmp_path, metadata_csv, spelling):
+    out = _another_name(tmp_path, metadata_csv, spelling)
+    argv = ["kernel", "--metadata", metadata_csv, "--out", out]
+    _refused_over_input(capsys, argv, "--metadata", metadata_csv, "--out", out)
+
+
+@pytest.mark.parametrize("spelling", _SPELLINGS)
+@pytest.mark.parametrize("flag", ["--embeddings", "--x1", "--x2", "--metadata"])
+def test_loss_refuses_an_output_on_an_input(capsys, tmp_path, flag, spelling):
+    x1, x2, p1, p2 = _write_views(tmp_path)
+    emb = str(tmp_path / "views.emb")
+    cio.write_embeddings(emb, x1, x2)
+    meta = _write_metadata(tmp_path / "meta.csv", [("a", "pirads", 5)])
+    views = ["--embeddings", emb] if flag == "--embeddings" else ["--x1", p1, "--x2", p2]
+    inputs = dict(zip(views[::2], views[1::2]), **{"--metadata": meta})
+    out = _another_name(tmp_path, inputs[flag], spelling)
+    argv = ["loss", *views, "--metadata", meta, "--out", out]
+    _refused_over_input(capsys, argv, flag, inputs[flag], "--out", out)
+
+
+@pytest.mark.parametrize("spelling", _SPELLINGS)
+@pytest.mark.parametrize("input_flag, output_flag", [("--prob", "--out"), ("--ref", "--csv")])
+def test_eval_detect_refuses_an_output_on_an_input(capsys, tmp_path, input_flag, output_flag, spelling):
+    first = _detection_fixture(tmp_path)
+    (tmp_path / "second").mkdir()
+    second = _detection_fixture(tmp_path / "second")
+    target = second[0] if input_flag == "--prob" else second[1]
+    out = _another_name(tmp_path, target, spelling)
+    argv = ["eval-detect", "--prob", first[0], "--ref", first[1], "--prob", second[0], "--ref", second[1]]
+    _refused_over_input(capsys, [*argv, output_flag, out], input_flag, target, output_flag, out)
+
+
+@pytest.mark.parametrize("spelling", _SPELLINGS)
+@pytest.mark.parametrize("flag", ["--out", "--cells-csv", "--summary-csv"])
+def test_simulate_refuses_an_output_on_its_config(capsys, tmp_path, monkeypatch, flag, spelling):
+    def no_study(*args, **kwargs):
+        raise AssertionError("run_study called")
+
+    monkeypatch.setattr(bench, "run_study", no_study)
+    config = _tiny_config(tmp_path)
+    out = _another_name(tmp_path, config, spelling)
+    argv = ["simulate", "--config", config, "--seeds", "0", flag, out]
+    _refused_over_input(capsys, argv, "--config", config, flag, out)
+
+
 @pytest.mark.parametrize(
     "body",
     [

@@ -20,7 +20,6 @@ from confcl.io import (
     BinaryMask,
     FileFormatError,
     ProbVolume,
-    _csv_tokens as csv_tokens,
     _score as score,
     atomic_write,
     fmt_float,
@@ -33,6 +32,7 @@ from confcl.io import (
     write_csv_table,
     write_embeddings,
     write_json_atomic,
+    write_kernel_csv,
     write_mask,
     write_matrix_csv,
     write_metadata_rows,
@@ -45,6 +45,7 @@ from confcl.metadata import (
     RawAnnotation,
     Source,
     confidence,
+    kernel_classes,
     kernel_matrix,
 )
 
@@ -257,8 +258,8 @@ def _per_element_csv(matrix) -> bytes:
     return "".join(",".join(fmt_float(v) for v in row) + "\n" for row in rows).encode()
 
 
-def _kernel(variant: KernelVariant, exams: int = 300) -> np.ndarray:
-    """A kernel over every confidence from 1 to 9 votes."""
+def _summaries(exams: int) -> list[MetadataSummary]:
+    """Labeled summaries over every confidence from 1 to 9 votes."""
     rng = np.random.default_rng(7)
     summaries = []
     for i in range(exams):
@@ -270,7 +271,12 @@ def _kernel(variant: KernelVariant, exams: int = 300) -> np.ndarray:
             ones = int(votes.sum())
         conf = confidence(votes.tolist())
         summaries.append(MetadataSummary.labeled(f"e{i}", int(2 * ones > n), conf))
-    return kernel_matrix(summaries, variant).weights
+    return summaries
+
+
+def _kernel(variant: KernelVariant, exams: int = 300) -> np.ndarray:
+    """A kernel over every confidence from 1 to 9 votes."""
+    return kernel_matrix(_summaries(exams), variant).weights
 
 
 _NEG_NAN = np.array([0xFFF8000000000000], dtype=np.uint64).view(np.float64)[0]
@@ -303,19 +309,17 @@ def _k_values(k: int, rows: int, cols: int) -> np.ndarray:
     return np.random.default_rng(k).permutation(cells).reshape(rows, cols)
 
 
-# Table reuse: block 2 draws from a strict subset of block 1's values, so
-# it reuses block 1's table; block 3 then needs a value block 2 lacks.
-_REUSED = (0.0, 1.0, 0.1, 1.0 / 3.0), (0.1, 1.0 / 3.0)
-_REBUILT = (*_REUSED, (0.1, 0.25))
-_NEGATIVE_ZERO_AFTER_REUSE = (0.0, 1.0), (1.0,), (0.0, -0.0, 1.0)
+# Later blocks draw from a strict subset of the first block's values, then
+# one needs a value it lacks; and -0.0 turns up only in a later block.
+_SUBSET = (0.0, 1.0, 0.1, 1.0 / 3.0), (0.1, 1.0 / 3.0)
+_SUBSET_THEN_NEW = (*_SUBSET, (0.1, 0.25))
+_NEGATIVE_ZERO_LATER = (0.0, 1.0), (1.0,), (0.0, -0.0, 1.0)
 
 # 1024 columns make blocks of 32 rows, so 33 and 65 rows end on a short block.
-# K values make runs of g cells, the largest g <= 8 with K**g <= 4096: K = 7
-# gives g = 4, K = 64 gives 2 and K = 65 gives 1.
 _MATRIX_CASES = {
-    "reused table": _blocks(*_REUSED),
-    "rebuilt after a reused table": _blocks(*_REBUILT),
-    "-0.0 after a reused table": _blocks(*_NEGATIVE_ZERO_AFTER_REUSE),
+    "later block a subset": _blocks(*_SUBSET),
+    "later block a subset, then a new value": _blocks(*_SUBSET_THEN_NEW),
+    "-0.0 in a later block": _blocks(*_NEGATIVE_ZERO_LATER),
     **{f"{cols} columns": _few_values(40, cols, cols) for cols in (2, 3, 5, 6, 7, 9, 10, 11, 1302)},
     "one value": np.full((40, 13), 0.25),
     "two values": _k_values(2, 100, 17),
@@ -345,33 +349,6 @@ def test_matrix_csv_bytes_match_per_element_formatting(tmp_path, name):
     path = tmp_path / "m.csv"
     write_matrix_csv(str(path), matrix)
     assert path.read_bytes() == _per_element_csv(matrix)
-
-
-@pytest.mark.parametrize(
-    "blocks, tables",
-    [(_REUSED, 1), (_REBUILT, 2), (_NEGATIVE_ZERO_AFTER_REUSE, 2), (((0.5,),) * 4, 1)],
-)
-def test_matrix_csv_builds_a_table_only_when_a_block_has_a_new_value(tmp_path, monkeypatch, blocks, tables):
-    built = []
-    monkeypatch.setattr(cio, "_csv_tokens", lambda bits, cols: built.append(bits) or csv_tokens(bits, cols))
-    matrix = _blocks(*blocks)
-    write_matrix_csv(str(tmp_path / "m.csv"), matrix)
-    assert len(built) == tables
-    assert (tmp_path / "m.csv").read_bytes() == _per_element_csv(matrix)
-
-
-@pytest.mark.parametrize("cols", [1, 2, 3, 7, 8, 9, 1302])
-@pytest.mark.parametrize("k", [0, 1, 2, 3, 7, 8, 16, 17, 64, 65, 4096, 4097])
-def test_matrix_csv_token_table_stays_within_4096_runs(k, cols):
-    bits = np.sort((np.arange(k) / 7.0).view(np.uint64))
-    cells, g, grams = csv_tokens(bits, cols)
-    assert list(cells) == [fmt_float(v) for v in bits.view(np.float64)]
-    assert len(grams) == k**g
-    assert g == 1 or len(grams) <= 4096
-    # g is the longest run allowed: one more cell breaks a limit.
-    assert g == max(1, min(8, cols)) or k ** (g + 1) > 4096
-    for digits in np.random.default_rng(k).integers(0, max(k, 1), (5 if k else 0, g)):
-        assert grams[int(np.polyval(digits, k))] == ",".join(cells[digits])
 
 
 def test_matrix_csv_rejects_more_than_two_dimensions(tmp_path):
@@ -424,6 +401,45 @@ def test_matrix_csv_writer_memory_stays_near_one_block(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2**20
+
+
+def _labeled(*pairs) -> list[MetadataSummary]:
+    return [MetadataSummary.labeled(f"e{i}", label, conf) for i, (label, conf) in enumerate(pairs)]
+
+
+# The last batch puts exams 0 and 4 in classes of their own, each with a
+# 19-character weight for the rest of its label, so row 0's diagonal is
+# its first cell and row 4's its last.
+_KERNEL_BATCHES = {
+    "no exams": [],
+    "one exam": _labeled((1, 1.0 / 3.0)),
+    "one class": _labeled(*[(0, 1.0 / 3.0)] * 6),
+    "300 exams": _summaries(300),
+    "diagonal first and last": _labeled((1, 1.0 / 3.0), (1, 1.0), (0, 1.0), (0, 1.0), (0, 2.0 / 3.0)),
+}
+
+
+@pytest.mark.parametrize("variant", list(KernelVariant))
+@pytest.mark.parametrize("name", list(_KERNEL_BATCHES))
+def test_kernel_csv_bytes_match_per_element_formatting(tmp_path, name, variant):
+    summaries = _KERNEL_BATCHES[name]
+    path = tmp_path / "k.csv"
+    write_kernel_csv(str(path), *kernel_classes(summaries, variant))
+    assert path.read_bytes() == _per_element_csv(kernel_matrix(summaries, variant).weights)
+
+
+def test_kernel_csv_class_build_and_write_stay_far_below_the_full_matrix(tmp_path):
+    # The full 1302 x 1302 kernel is 13.6 MB; building it and writing it
+    # through write_matrix_csv peaks at about 28 MiB.
+    summaries = _summaries(1302)
+    tracemalloc.start()
+    try:
+        write_kernel_csv(str(tmp_path / "k.csv"), *kernel_classes(summaries))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+    assert (tmp_path / "k.csv").read_bytes() == _per_element_csv(kernel_matrix(summaries).weights)
 
 
 def test_fmt_float_survives_a_parse_round_trip():

@@ -23,6 +23,7 @@ from confcl.metadata import (
     Source,
     binarize,
     confidence,
+    kernel_classes,
     kernel_matrix,
     summarize,
     summarize_batch,
@@ -373,3 +374,47 @@ def test_kernel_matrix_empty_batch():
 def test_kernel_matrix_rejects_unlabeled():
     with pytest.raises(AnnotationError, match="'u'"):
         kernel_matrix([MetadataSummary.labeled("a", 1, 1.0), MetadataSummary.unlabeled("u")])
+
+
+def _full_kernel(summaries, variant):
+    """The N x N formula kernel_matrix used before the class table: every
+    pair's rule at once, then a unit diagonal."""
+    labels = np.array([s.label for s in summaries])
+    conf = np.array([s.confidence for s in summaries], dtype=np.float64)
+    equal = labels[:, None] == labels[None, :]
+    if variant is KernelVariant.PROPOSED:
+        w = np.where(equal, np.minimum(conf[:, None], conf[None, :]), 0.0)
+    elif variant is KernelVariant.HIGH_CONFIDENCE:
+        sure = conf == 1.0
+        w = np.where(equal & sure[:, None] & sure[None, :], COARSE_WEIGHT, 0.0)
+    else:
+        w = np.where(equal, COARSE_WEIGHT, 0.0)
+    np.fill_diagonal(w, 1.0)
+    return w
+
+
+@pytest.mark.parametrize("variant", list(KernelVariant))
+def test_kernel_classes_gather_is_the_full_kernel_bit_for_bit(variant):
+    rng = np.random.default_rng(31)
+    # Confidences one ulp apart are classes of their own, for either label.
+    confs = [0.1, float(np.nextafter(0.1, 1.0))] * 2
+    close = [MetadataSummary.labeled(f"c{i}", i // 2, c) for i, c in enumerate(confs)]
+    batches = [[], close, *(_random_labeled_summaries(rng, int(rng.integers(1, 60))) for _ in range(30))]
+    for summaries in batches:
+        classes, table = kernel_classes(summaries, variant)
+        pairs = {(s.label, s.confidence) for s in summaries}
+        assert classes.shape == (len(summaries),) and table.shape == (len(pairs), len(pairs))
+        # Each class holds exactly the exams of one (label, confidence) pair.
+        for k in range(len(pairs)):
+            assert len({(summaries[i].label, summaries[i].confidence) for i in np.flatnonzero(classes == k)}) == 1
+        want = _full_kernel(summaries, variant)
+        got = kernel_matrix(summaries, variant).weights
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_kernel_classes_rejects_unlabeled_and_unknown_variants():
+    with pytest.raises(AnnotationError, match="'u'"):
+        kernel_classes([MetadataSummary.unlabeled("u")])
+    with pytest.raises(ValueError, match="unknown kernel variant"):
+        kernel_classes([MetadataSummary.labeled("a", 1, 1.0)], "proposed")
