@@ -320,6 +320,7 @@ _MATRIX_CASES = {
     "later block a subset": _blocks(*_SUBSET),
     "later block a subset, then a new value": _blocks(*_SUBSET_THEN_NEW),
     "-0.0 in a later block": _blocks(*_NEGATIVE_ZERO_LATER),
+    "one value in every block": _blocks(*((0.5,),) * 4),
     **{f"{cols} columns": _few_values(40, cols, cols) for cols in (2, 3, 5, 6, 7, 9, 10, 11, 1302)},
     "one value": np.full((40, 13), 0.25),
     "two values": _k_values(2, 100, 17),
@@ -346,6 +347,18 @@ _MATRIX_CASES = {
 @pytest.mark.parametrize("name", list(_MATRIX_CASES))
 def test_matrix_csv_bytes_match_per_element_formatting(tmp_path, name):
     matrix = _MATRIX_CASES[name]
+    path = tmp_path / "m.csv"
+    write_matrix_csv(str(path), matrix)
+    assert path.read_bytes() == _per_element_csv(matrix)
+
+
+# Value counts on both sides of 8, 64 and 4096, in rows from one cell up to
+# 1302 wide: each block formats each of its k values once and joins them.
+@pytest.mark.parametrize("cols", [1, 2, 3, 7, 8, 9, 1302])
+@pytest.mark.parametrize("k", [0, 1, 2, 3, 7, 8, 16, 17, 64, 65, 4096, 4097])
+def test_matrix_csv_bytes_match_for_every_value_count_and_width(tmp_path, k, cols):
+    matrix = _k_values(k, -(-k // cols), cols)
+    assert len(np.unique(matrix)) == k
     path = tmp_path / "m.csv"
     write_matrix_csv(str(path), matrix)
     assert path.read_bytes() == _per_element_csv(matrix)
