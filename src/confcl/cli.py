@@ -195,6 +195,11 @@ def _random_summaries(
 
 
 def _cmd_gradcheck(args: argparse.Namespace) -> int:
+    for flag, value in (("--n", args.n), ("--d", args.d)):
+        if value < 1:
+            raise ValueError(f"{flag} must be >= 1, got {value!r}")
+    if not 0.0 < args.h < np.inf:
+        raise ValueError(f"--h must be finite and > 0, got {args.h!r}")
     if not 0.0 <= args.tol < np.inf:
         raise ValueError(f"--tol must be finite and >= 0, got {args.tol!r}")
     metadata.check_epsilon(args.epsilon, "--epsilon")
@@ -238,25 +243,22 @@ def _cmd_eval_detect(args: argparse.Namespace) -> int:
         raise ValueError("give --threshold or --dynamic, not both")
     # Every setting is checked before the first file is read.
     detection.check_tau(args.tau)
-    fixed_t = detection.check_threshold(0.5 if args.threshold is None else args.threshold)
-    dynamic = None
     if args.dynamic:
-        dynamic = detection.DynamicThresholdParams(
+        threshold = detection.DynamicThresholdParams(
             **{f.name: getattr(args, f.name) for f in dataclasses.fields(detection.DynamicThresholdParams)}
         )
-    settings = dict(
-        tau=args.tau,
-        connectivity=args.connectivity,
-        threshold=None if args.dynamic else fixed_t,
-        dynamic=dynamic,
-    )
+    else:
+        threshold = detection.check_threshold(0.5 if args.threshold is None else args.threshold)
     results = []
     for idx, (prob_path, ref_path) in enumerate(zip(args.prob, args.ref)):
         volume, reference = cio.read_volume(prob_path), cio.read_mask(ref_path)
         try:
-            results.append(detection.evaluate_exam(f"exam-{idx:04d}", volume, reference, **settings))
+            exam = detection.evaluate_exam(
+                f"exam-{idx:04d}", volume, reference, args.tau, args.connectivity, threshold=threshold
+            )
         except ValueError as exc:  # a shape mismatch: say which pair
             raise ValueError(f"--prob {prob_path} with --ref {ref_path}: {exc}") from None
+        results.append(exam)
     outcomes = [r.outcome for r in results]
     n_ref = sum(o.n_reference for o in outcomes)
     n_pool = sum(
@@ -284,7 +286,7 @@ def _cmd_eval_detect(args: argparse.Namespace) -> int:
             "overlap": "iou",
             "match_comparison": "strict_greater",
             "connectivity": args.connectivity,
-            "threshold": "dynamic" if args.dynamic else fixed_t,
+            "threshold": "dynamic" if args.dynamic else threshold,
             "fn_injected_as_zero_score_positives": True,
             "map_pooling": "dataset",
         },

@@ -1,16 +1,17 @@
 """Lesion detection evaluation on 3D probability volumes.
 
-A probability volume is thresholded (fixed or dynamic) and each mask is
-labeled once into label arrays: its foreground voxel indices and the
-component of each voxel.  Components become candidates scored by their
-peak probability, and candidates match reference lesions greedily by
-descending probability under a strict IoU criterion, with every
-intersection read from a sparse candidate x reference contingency table.
-Exam and lesion level ROC AUC plus a dataset-pooled average precision
-follow the matched outcomes; missed references enter the lesion pool as
-zero-score positives.  Only the public adapters that return
-``Component`` objects build voxel sets.  ``ProbVolume`` and ``BinaryMask``
-come from ``confcl.io``, which checks each once, when built or read.
+A probability volume is thresholded by a descending search (a fixed t is
+the search that starts and stops at t) and each mask is labeled once into
+label arrays: its foreground voxel indices and the component of each
+voxel.  Components become candidates scored by their peak probability,
+and candidates match reference lesions greedily by descending
+probability under a strict IoU criterion, with every intersection read
+from a sparse candidate x reference contingency table.  Exam and lesion
+level ROC AUC plus a dataset-pooled average precision follow the matched
+outcomes; missed references enter the lesion pool as zero-score
+positives.  Only the public adapters that return ``Component`` objects
+build voxel sets.  ``ProbVolume`` and ``BinaryMask`` come from
+``confcl.io``, which checks each once, when built or read.
 """
 
 from __future__ import annotations
@@ -256,8 +257,7 @@ def _dynamic_search(
         if t > params.t_min and np.count_nonzero(mask.data) < needed:
             continue
         labels = _label(mask.data, connectivity)
-        sizes = np.bincount(labels.label)
-        if (sizes >= params.min_voxels).sum() >= params.max_candidates or t <= params.t_min:
+        if t <= params.t_min or (np.bincount(labels.label) >= params.min_voxels).sum() >= params.max_candidates:
             return mask, t, labels
 
 
@@ -343,24 +343,22 @@ def evaluate_exam(
     reference: BinaryMask,
     tau: float = 0.1,
     connectivity: int = 26,
-    threshold: float | None = None,
-    dynamic: DynamicThresholdParams | None = None,
+    *,
+    threshold: float | DynamicThresholdParams,
 ) -> ExamResult:
     """Threshold, label candidates, and match against the reference mask.
 
-    Exactly one of ``threshold`` (fixed) or ``dynamic`` must be given.
+    ``threshold`` is a fixed t in [0, 1] or the settings of a dynamic
+    search; a fixed t is the search that starts and stops at t.
     """
     if volume.data.shape != reference.data.shape:
         raise ValueError(
             f"{exam_id}: volume dims {volume.data.shape} != reference dims {reference.data.shape}"
         )
-    if (threshold is None) == (dynamic is None):
-        raise ValueError("give exactly one of threshold= or dynamic=")
-    if threshold is not None:
-        t = threshold
-        cand = _label(threshold_volume(volume, t).data, connectivity)
-    else:
-        _, t, cand = _dynamic_search(volume, dynamic, connectivity)
+    if not isinstance(threshold, DynamicThresholdParams):
+        t = float(check_threshold(threshold))  # float(): the params refuse numpy scalars
+        threshold = DynamicThresholdParams(t, t)
+    _, t, cand = _dynamic_search(volume, threshold, connectivity)
     ref = _label(reference.data, connectivity)
     peaks = _peaks(volume, cand)
     outcome = _match(cand, peaks, range(cand.n), ref, range(ref.n), tau)

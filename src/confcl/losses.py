@@ -30,10 +30,11 @@ only where one is read.  The analytic gradients are checked against
 central finite differences.
 
 The public functions validate their arguments (partition cover, kernel
-shape) before building groups; the private ``_decoupled_groups``,
-``_evaluate`` and ``_gradient`` trust theirs, so a study cell validates
-its dataset's partition and kernel once, and both its training steps and
-its final evaluation feed their slices straight in.
+shape, no argument the kind ignores) before building groups; the private
+``_decoupled_groups``, ``_evaluate`` and ``_gradient`` trust theirs, so a
+study cell validates its dataset's partition and kernel once, and both
+its training steps and its final evaluation feed their slices straight
+in.
 """
 
 from __future__ import annotations
@@ -80,6 +81,11 @@ ALIGN_UNLABELED = "align_unlabeled"
 UNIF_UNLABELED = "unif_unlabeled"
 
 LOSS_KINDS = ("nce", "conditional", "decoupled")
+# The arguments each kind has no use for.
+_IGNORED = {
+    "nce": ("partition", "kernel", "global_uniformity"),
+    "conditional": ("partition", "global_uniformity"),
+}
 
 
 class DegenerateUniformityError(ValueError):
@@ -190,17 +196,6 @@ def pairwise_distances(batch: ViewPairBatch) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-# Identity blocks of groups up to this size (training batches, evaluated
-# at every step) are read-only slices of this one array; a larger group is
-# evaluated once and builds its own, so nothing its size outlives the call.
-_SHARED_EYE = np.eye(64)
-_SHARED_EYE.flags.writeable = False
-
-
-def _eye(m: int) -> np.ndarray:
-    return _SHARED_EYE[:m, :m] if m <= len(_SHARED_EYE) else np.eye(m)
-
-
 class _Group(NamedTuple):
     """Batch rows with their alignment and repulsion weights.
 
@@ -231,10 +226,15 @@ def _groups(
     kernel: KernelMatrix | None,
     global_uniformity: bool,
 ) -> list[_Group]:
-    """The row groups of one loss variant over a batch of n rows."""
+    """The row groups of one loss variant over a batch of n rows.  An
+    argument the kind ignores must not be given: not None, and not True."""
+    given = dict(partition=partition is not None, kernel=kernel is not None, global_uniformity=global_uniformity)
+    for name in _IGNORED.get(kind, ()):
+        if given[name]:
+            raise ValueError(f"{kind} loss takes no {name}")
     if kind == "nce":
         names = (ALIGN_UNLABELED, UNIF_UNLABELED)
-        return [_Group(np.arange(n), _eye(n), np.ones((n, n)), names, False)]
+        return [_Group(np.arange(n), np.eye(n), np.ones((n, n)), names, False)]
     if kind == "conditional":
         w = _kernel_weights(kernel, n, "conditional loss")
         return [_Group(np.arange(n), w, 1.0 - w, (ALIGN_LABELED, UNIF_LABELED), False)]
@@ -258,10 +258,10 @@ def _decoupled_groups(
     groups = []
     if len(labeled):
         # Global uniformity repels every distinct labeled pair at weight 1.
-        repel = 1.0 - (_eye(len(w)) if global_uniformity else w)
+        repel = 1.0 - (np.eye(len(w)) if global_uniformity else w)
         groups.append(_Group(labeled, w, repel, (ALIGN_LABELED, UNIF_LABELED), True))
     if len(unlabeled):
-        eye = _eye(len(unlabeled))
+        eye = np.eye(len(unlabeled))
         groups.append(_Group(unlabeled, eye, 1.0 - eye, (ALIGN_UNLABELED, UNIF_UNLABELED), True))
     return groups
 

@@ -9,7 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from confcl import bench, io as cio
+from confcl import bench, io as cio, losses
 from confcl.bench import batch_loss_inputs, variant_spec
 from confcl.cli import _random_summaries, build_parser, main
 from confcl.detection import DynamicThresholdParams
@@ -604,6 +604,24 @@ def test_gradcheck_rejects_a_bad_step_or_tolerance(capsys, flag, fragment):
     err = json.loads(stderr)
     assert err["error"] == "ValueError"
     assert fragment in err["message"]
+
+
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--n", "-1", "--n must be >= 1, got -1"),
+        ("--d", "0", "--d must be >= 1, got 0"),
+        ("--h", "-1", "--h must be finite and > 0, got -1.0"),
+    ],
+)
+def test_gradcheck_checks_sizes_and_step_before_drawing(capsys, monkeypatch, flag, value, message):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("drew a batch")
+
+    monkeypatch.setattr(losses, "ViewPairBatch", forbidden)
+    code, stdout, stderr = _run(capsys, ["gradcheck", "--n", "3", "--d", "2", flag, value])
+    assert (code, stdout) == (1, "")
+    assert json.loads(stderr) == {"error": "ValueError", "message": message}
 
 
 def test_gradcheck_checks_epsilon_before_drawing_any_exam(capsys):

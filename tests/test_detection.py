@@ -741,13 +741,34 @@ def test_evaluate_exam_fixed_threshold():
     assert res.threshold == 0.5
 
 
-def test_evaluate_exam_needs_exactly_one_threshold_mode():
+def test_evaluate_exam_needs_a_threshold_by_keyword():
     v = ProbVolume(np.zeros((2, 2, 2)))
     m = BinaryMask(np.zeros((2, 2, 2), dtype=bool))
-    with pytest.raises(ValueError, match="exactly one"):
+    with pytest.raises(TypeError, match="threshold"):
         evaluate_exam("e", v, m)
-    with pytest.raises(ValueError, match="exactly one"):
+    with pytest.raises(TypeError):
+        evaluate_exam("e", v, m, 0.1, 26, 0.5)
+    with pytest.raises(TypeError, match="dynamic"):
         evaluate_exam("e", v, m, threshold=0.5, dynamic=DynamicThresholdParams())
+    with pytest.raises(ValueError, match="outside"):
+        evaluate_exam("e", v, m, threshold=1.5)
+
+
+def test_evaluate_exam_at_a_fixed_threshold_labels_twice(monkeypatch):
+    # One labeling for the candidates and one for the reference; a numpy
+    # scalar threshold is the same threshold.
+    data = np.zeros((6, 3, 1))
+    data[0:2, 0:2, 0] = 0.9
+    data[4:6, 0:2, 0] = 0.3
+    ref = np.zeros((6, 3, 1), dtype=bool)
+    ref[0:2, 0:2, 0] = True
+    want = evaluate_exam("e", ProbVolume(data), BinaryMask(ref), threshold=0.25)
+    for threshold in (0.25, np.float32(0.25), np.float64(0.25)):
+        events = _counting(monkeypatch)
+        got = evaluate_exam("e", ProbVolume(data), BinaryMask(ref), threshold=threshold)
+        assert events == [0.25, "label", "label"]
+        assert got == want and type(got.threshold) is float
+    assert [c.candidate_id for c in want.outcome.false_positives] == [1]
 
 
 def test_evaluate_exam_negative_case_has_no_reference():
@@ -775,19 +796,19 @@ def test_evaluate_exam_matches_set_oracle_on_random_volumes():
         connectivity = int(rng.choice([6, 18, 26]))
         tau = float(rng.choice([0.0, 0.1, 0.25, 0.5]))
         if rng.random() < 0.5:
-            mode = dict(threshold=float(rng.choice([0.0, 0.4, 0.5])))
+            threshold = float(rng.choice([0.0, 0.4, 0.5]))
+            mode = dict(threshold=threshold)
         else:
-            mode = dict(
-                dynamic=DynamicThresholdParams(
-                    t_start=0.8,
-                    t_min=0.2,
-                    step=0.2,
-                    max_candidates=int(rng.integers(1, 5)),
-                    min_voxels=int(rng.integers(1, 4)),
-                )
+            threshold = DynamicThresholdParams(
+                t_start=0.8,
+                t_min=0.2,
+                step=0.2,
+                max_candidates=int(rng.integers(1, 5)),
+                min_voxels=int(rng.integers(1, 4)),
             )
+            mode = dict(dynamic=threshold)
         got = evaluate_exam(
-            "e", ProbVolume(prob), BinaryMask(ref), tau, connectivity, **mode
+            "e", ProbVolume(prob), BinaryMask(ref), tau, connectivity, threshold=threshold
         )
         outcome, score, t = _oracle_exam(prob, ref, tau, connectivity, **mode)
         assert got.outcome == outcome
@@ -813,7 +834,7 @@ def test_evaluate_exam_builds_no_component(monkeypatch):
     m = BinaryMask(ref)
     params = DynamicThresholdParams(max_candidates=2, min_voxels=1)
     assert dynamic_threshold(v, params)[1] == 0.6
-    for mode in (dict(threshold=0.5), dict(dynamic=params)):
-        res = evaluate_exam("e", v, m, **mode)
+    for threshold in (0.5, params):
+        res = evaluate_exam("e", v, m, threshold=threshold)
         assert [tp.candidate_id for tp in res.outcome.true_positives] == [0]
         assert [fp.candidate_id for fp in res.outcome.false_positives] == [1]

@@ -32,8 +32,6 @@ from confcl.losses import (
 )
 from confcl.losses import (
     _decoupled_coefficients,
-    _decoupled_groups,
-    _eye,
     _gradient_from_coefficients,
 )
 from confcl.metadata import KernelMatrix, KernelVariant, MetadataSummary
@@ -549,22 +547,30 @@ def test_evaluate_loss_dispatch_and_errors():
         evaluate_loss("nt-xent", batch)
 
 
+@pytest.mark.parametrize(
+    "kind, argument",
+    [
+        ("nce", "partition"),
+        ("nce", "kernel"),
+        ("nce", "global_uniformity"),
+        ("conditional", "partition"),
+        ("conditional", "global_uniformity"),
+    ],
+)
+def test_a_loss_kind_refuses_an_argument_it_ignores(kind, argument):
+    batch = ViewPairBatch(np.zeros((2, 2)), np.ones((2, 2)))
+    kernel = KernelMatrix(np.array([[1.0, 0.5], [0.5, 1.0]]))
+    given = {"partition": BatchPartition((0, 1), ()), "kernel": kernel, "global_uniformity": True}
+    args = {"kernel": kernel} if kind == "conditional" else {}
+    args[argument] = given[argument]
+    for loss in (evaluate_loss, loss_gradient, finite_diff_gradient):
+        with pytest.raises(ValueError, match=f"^{kind} loss takes no {argument}$"):
+            loss(kind, batch, **args)
+
+
 # ---------------------------------------------------------------------------
 # Decoupling of saturated pairs
 # ---------------------------------------------------------------------------
-
-
-def test_identity_blocks_are_read_only_slices_of_one_shared_array():
-    # Training steps and cells share these blocks, so none may write to them.
-    big, small = _eye(16), _eye(3)
-    assert np.array_equal(small, np.eye(3)) and np.shares_memory(big, small)
-    (unlabeled,) = _decoupled_groups(np.array([], np.intp), np.arange(3), None, False)
-    assert np.array_equal(unlabeled.align, np.eye(3))
-    for block in (big, small, unlabeled.align):
-        with pytest.raises(ValueError, match="read-only"):
-            block[0, 0] = 2.0
-    # An eval-sized group gets an identity of its own, which no later call keeps.
-    assert np.array_equal(_eye(500), np.eye(500)) and not np.shares_memory(_eye(500), big)
 
 
 def test_saturated_pairs_have_zero_uniformity_coefficient():
