@@ -382,13 +382,15 @@ class StudyCell(NamedTuple):
     weights: np.ndarray | None
 
     def groups(self, idx: np.ndarray) -> list:
-        """The decoupled loss groups of the exams idx, as a batch in that order."""
+        """The decoupled loss groups of the exams idx, as a batch in that order;
+        the labeled rows' class table is the block itself."""
         rows = self.block_row[idx]
         labeled = rows >= 0
-        block = rows[labeled]
-        w = self.weights[block[:, None], block] if len(block) else None
         return _decoupled_groups(
-            labeled.nonzero()[0], (~labeled).nonzero()[0], w, self.spec.global_uniformity
+            labeled.nonzero()[0],
+            (~labeled).nonzero()[0],
+            (rows[labeled], self.weights),
+            self.spec.global_uniformity,
         )
 
 
@@ -578,7 +580,7 @@ def _evaluate_cell(
     unif = float(np.log(np.exp(-d[off]).mean())) if batch.n >= 2 else 0.0
     # The decoupled loss over every exam reads the diagnostics' distance matrix.
     groups = cell.groups(np.arange(batch.n))
-    breakdown = _breakdown(groups, _evaluate(d, groups)[0])
+    breakdown = _breakdown(groups, _evaluate(batch, groups, d)[0])
     return align, unif, breakdown
 
 

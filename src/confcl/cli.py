@@ -137,18 +137,50 @@ def _cmd_kernel(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_views(args: argparse.Namespace) -> losses.ViewPairBatch:
+def _load_views(args: argparse.Namespace) -> tuple[losses.ViewPairBatch, tuple[str, str]]:
+    """The batch, and where each view came from as "FLAG PATH"."""
     if args.embeddings is not None:
         if args.x1 is not None or args.x2 is not None:
             raise ValueError("give --embeddings or --x1 and --x2, not both")
-        return cio.read_embeddings(args.embeddings)
+        source = f"--embeddings {args.embeddings}"
+        return cio.read_embeddings(args.embeddings), (source, source)
     if args.x1 is None or args.x2 is None:
         raise ValueError("give --embeddings or both --x1 and --x2")
     x1, x2 = cio.read_matrix_csv(args.x1), cio.read_matrix_csv(args.x2)
     try:
-        return losses.ViewPairBatch(x1, x2)
+        return losses.ViewPairBatch(x1, x2), (f"--x1 {args.x1}", f"--x2 {args.x2}")
     except ValueError as exc:  # the readers admit only finite (N, D), so a shape mismatch
         raise ValueError(f"--x1 {args.x1} with --x2 {args.x2}: {exc}") from None
+
+
+def _normalized(batch: losses.ViewPairBatch, sources: tuple[str, str]) -> losses.ViewPairBatch:
+    """Both views with unit rows; a finite row whose squared norm overflows
+    float64 (which normalize_rows would scale to 0) is an error."""
+    views = []
+    for k, (x, source) in enumerate(zip((batch.x1, batch.x2), sources), start=1):
+        with np.errstate(over="ignore"):
+            unit, norms = bench.normalize_rows(x)
+        overflow = np.flatnonzero(np.isinf(norms))
+        if len(overflow):
+            raise ValueError(
+                f"--normalize: row {overflow[0]} of view {k} in {source} has a squared norm beyond float64"
+            )
+        views.append(unit)
+    return losses.ViewPairBatch(*views)
+
+
+def _loss_inputs(
+    summaries: list[metadata.MetadataSummary], spec: bench.VariantSpec
+) -> tuple[losses.BatchPartition, metadata.KernelMatrix | None]:
+    """bench.batch_loss_inputs, with the labeled kernel in kernel_classes'
+    form, so that no N x N or |A| x |A| array is built."""
+    if spec.kernel is None:
+        return losses.BatchPartition((), tuple(range(len(summaries)))), None
+    partition = losses.partition_batch(summaries, spec.kernel)
+    if not partition.labeled:
+        return partition, None
+    classes, table = metadata.kernel_classes([summaries[i] for i in partition.labeled], spec.kernel)
+    return partition, metadata.KernelMatrix(table, classes)
 
 
 def _cmd_loss(args: argparse.Namespace) -> int:
@@ -156,11 +188,9 @@ def _cmd_loss(args: argparse.Namespace) -> int:
     for flag, given in (("--epsilon-override", overrides), ("--biopsy-source", args.biopsy_source)):
         if given and args.metadata is None:
             raise ValueError(f"{flag} needs --metadata")
-    batch = _load_views(args)
+    batch, sources = _load_views(args)
     if args.normalize:
-        batch = losses.ViewPairBatch(
-            bench.normalize_rows(batch.x1)[0], bench.normalize_rows(batch.x2)[0]
-        )
+        batch = _normalized(batch, sources)
     spec = bench.variant_spec(args.variant)
     # Metadata rows map onto batch rows by first appearance order; rows
     # past the last annotated exam (all of them without --metadata) are
@@ -173,9 +203,14 @@ def _cmd_loss(args: argparse.Namespace) -> int:
     summaries += [
         metadata.MetadataSummary.unlabeled(f"row-{i}") for i in range(len(summaries), batch.n)
     ]
-    partition, kernel = bench.batch_loss_inputs(summaries, spec)
+    partition, kernel = _loss_inputs(summaries, spec)
     breakdown = losses.loss_decoupled(batch, partition, kernel, spec.global_uniformity)
     payload = breakdown.as_dict()
+    names = sorted(breakdown.present) + ["total"]
+    bad = [f"{name} = {payload[name]}" for name in names if not np.isfinite(payload[name])]
+    if bad:
+        inputs = " and ".join(dict.fromkeys(sources))
+        raise ValueError(f"the loss of {inputs} is not finite, and JSON holds no inf or nan: {', '.join(bad)}")
     payload["variant"] = args.variant
     payload["n"] = batch.n
     _print_json(payload, args.out)

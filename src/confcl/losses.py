@@ -6,28 +6,35 @@ alignment weights a and repulsion weights r contributes two terms,
     align = (1/m)   sum_{i,j} a_ij d_ij
     unif  = log((1/m^2) sum_{i,j} r_ij exp(-d_ij)),
 
-all read off one smoothed Euclidean distance matrix
-d_ij = sqrt(|x1_i - x2_j|^2 + eps^2), which keeps every loss
-differentiable when two rows coincide.  The variants differ only in
-their groups:
+all read off the smoothed Euclidean distances
+d_ij = sqrt(|x1_i - x2_j|^2 + eps^2), which keep every loss
+differentiable when two rows coincide.  A group's weights are a class
+table: rows i != j weigh w_ij = table[c_i, c_j] and a row with itself (two
+views of one exam) weighs 1.  The variants differ only in their groups:
 
 - ``nce``: one group over all rows with a = I and r = 1 (the diagonal
-  included).
+  included): one class, table [[0]], and a unit repulsion diagonal.
 - ``conditional``: one group over all rows with a = w and r = 1 - w for
   the kernel w.  The unit kernel diagonal keeps same-exam pairs out of
   the repulsion.  Here and for ``nce`` a zero repulsion sum raises
   DegenerateUniformityError.
 - ``decoupled``: the labeled rows A get a = w and r = 1 - w (r = 1 - I
-  with global uniformity), the unlabeled rows U get a = I and r = 1 - I,
-  and no cross A-U pair appears.  A zero repulsion sum (every weight 1,
-  or |U| = 1) is skipped and recorded instead of fed to log.
+  with global uniformity), the unlabeled rows U get a = I and r = 1 - I
+  (one class, table [[0]]), and no cross A-U pair appears.  A zero
+  repulsion sum (every weight 1, or |U| = 1) is skipped and recorded
+  instead of fed to log.
 
-One evaluator turns the distance matrix and the groups into plain
-per-term values and, when a gradient is wanted, into the per-pair
-coefficients C_ij = d(total)/d(d_ij); ``loss_gradient`` returns both from
-a single distance build.  A LossBreakdown is built from the term values
-only where one is read.  The analytic gradients are checked against
-central finite differences.
+One evaluator walks each group in blocks of b = max(1, _BLOCK_CELLS // m)
+rows: a block's distances against the group's columns, its weights from
+the class table, and its alignment and repulsion partial sums; the terms
+are formed after the last block.  Memory is O(b m), not O(m^2), so a
+value-only loss holds no N x N array; a group of up to 512 rows is one
+block.  When a gradient is wanted, each group is one block over the
+distance matrix the gradient needs anyway, and the evaluator also
+returns the per-pair coefficients C_ij = d(total)/d(d_ij);
+``loss_gradient`` returns both from a single distance build.  A
+LossBreakdown is built from the term values only where one is read.  The
+analytic gradients are checked against central finite differences.
 
 The public functions validate their arguments (partition cover, kernel
 shape, no argument the kind ignores) before building groups; the private
@@ -74,6 +81,9 @@ EPS_DIST = 1e-8
 
 # Rows of the distance matrix filled per step; bounds its (rows, N, D) temporary.
 _DISTANCE_BLOCK = 32
+
+# Pair cells per row block of the loss core; bounds its (rows, m) temporaries.
+_BLOCK_CELLS = 2**18
 
 ALIGN_LABELED = "align_labeled"
 UNIF_LABELED = "unif_labeled"
@@ -176,17 +186,24 @@ class GradientBatch:
 # ---------------------------------------------------------------------------
 
 
-def pairwise_distances(batch: ViewPairBatch) -> np.ndarray:
-    """Smoothed L2 distance matrix d[i, j] = |x1_i - x2_j| of shape (N, N).
+def pairwise_distances(
+    batch: ViewPairBatch,
+    rows: np.ndarray | slice = slice(None),
+    cols: np.ndarray | slice = slice(None),
+) -> np.ndarray:
+    """Smoothed L2 distances d[i, j] = |x1[rows[i]] - x2[cols[j]]|, every
+    row against every row (N, N) by default.
 
     Filled _DISTANCE_BLOCK rows at a time, so the largest temporary is a
-    (_DISTANCE_BLOCK, N, D) difference block rather than (N, N, D).
+    (_DISTANCE_BLOCK, len(cols), D) difference block.  Each entry is the
+    same float whatever the row and column sets.
     """
-    d = np.empty((batch.n, batch.n))
-    for start in range(0, batch.n, _DISTANCE_BLOCK):
-        rows = slice(start, start + _DISTANCE_BLOCK)
-        diff = batch.x1[rows, None, :] - batch.x2[None, :, :]
-        np.einsum("ijk,ijk->ij", diff, diff, out=d[rows])
+    x1, x2 = batch.x1[rows], batch.x2[cols]
+    d = np.empty((len(x1), len(x2)))
+    for start in range(0, len(x1), _DISTANCE_BLOCK):
+        block = slice(start, start + _DISTANCE_BLOCK)
+        diff = x1[block, None, :] - x2[None, :, :]
+        np.einsum("ijk,ijk->ij", diff, diff, out=d[block])
     d += EPS_DIST**2
     return np.sqrt(d, out=d)
 
@@ -197,26 +214,34 @@ def pairwise_distances(batch: ViewPairBatch) -> np.ndarray:
 
 
 class _Group(NamedTuple):
-    """Batch rows with their alignment and repulsion weights.
+    """Batch rows with their pair weights.
 
-    The alignment sum is normalized by m = len(rows) and the repulsion sum
-    by m^2.  ``skip_zero`` says whether a zero repulsion sum is skipped
-    and recorded or raises DegenerateUniformityError.
+    Rows i != j weigh w_ij = table[classes[i], classes[j]], or 0 without a
+    table (the one-class table [[0]], not gathered), and a row with itself
+    weighs 1.  The alignment weighs pair (i, j) by w_ij and is
+    normalized by m = len(rows).  The repulsion weighs it by 1 - w_ij (so
+    0 for a row with itself), or, given ``uniform`` = r, by 1 for distinct
+    rows and r for a row with itself; it is normalized by m^2.
+    ``skip_zero`` says whether a zero repulsion sum is skipped and recorded
+    or raises DegenerateUniformityError.
     """
 
     rows: np.ndarray
-    align: np.ndarray
-    repel: np.ndarray
+    classes: np.ndarray | None
+    table: np.ndarray | None
     terms: tuple[str, str]
     skip_zero: bool
+    uniform: float | None = None
 
 
-def _kernel_weights(kernel: KernelMatrix | None, n: int, what: str) -> np.ndarray:
+def _kernel_weights(kernel: KernelMatrix | None, n: int, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """The (classes, table) of a kernel over n exams; a dense kernel is
+    classes = arange(n) with table = its weights."""
     if kernel is None:
         raise ValueError(f"{what}: no kernel given for {n} labeled rows")
     if kernel.n != n:
-        raise ValueError(f"{what}: kernel shape {kernel.weights.shape} does not match n = {n}")
-    return kernel.weights
+        raise ValueError(f"{what}: kernel shape {(kernel.n, kernel.n)} does not match n = {n}")
+    return np.arange(n) if kernel.classes is None else kernel.classes, kernel.weights
 
 
 def _groups(
@@ -234,10 +259,10 @@ def _groups(
             raise ValueError(f"{kind} loss takes no {name}")
     if kind == "nce":
         names = (ALIGN_UNLABELED, UNIF_UNLABELED)
-        return [_Group(np.arange(n), np.eye(n), np.ones((n, n)), names, False)]
+        return [_Group(np.arange(n), None, None, names, False, uniform=1.0)]
     if kind == "conditional":
-        w = _kernel_weights(kernel, n, "conditional loss")
-        return [_Group(np.arange(n), w, 1.0 - w, (ALIGN_LABELED, UNIF_LABELED), False)]
+        classes, table = _kernel_weights(kernel, n, "conditional loss")
+        return [_Group(np.arange(n), classes, table, (ALIGN_LABELED, UNIF_LABELED), False)]
     if kind != "decoupled":
         raise ValueError(f"unknown loss kind {kind!r}; expected one of {LOSS_KINDS}")
     if partition is None:
@@ -245,49 +270,86 @@ def _groups(
     if partition.n != n or set(partition.labeled) | set(partition.unlabeled) != set(range(n)):
         raise ValueError("partition must cover every batch row exactly once")
     labeled = np.asarray(partition.labeled, dtype=np.intp)
-    w = _kernel_weights(kernel, len(labeled), "decoupled loss") if len(labeled) else None
-    if w is None and kernel is not None and kernel.n != 0:
+    weights = _kernel_weights(kernel, len(labeled), "decoupled loss") if len(labeled) else None
+    if weights is None and kernel is not None and kernel.n != 0:
         raise ValueError("kernel given but the labeled group is empty")
-    return _decoupled_groups(labeled, np.asarray(partition.unlabeled, np.intp), w, global_uniformity)
+    unlabeled = np.asarray(partition.unlabeled, np.intp)
+    return _decoupled_groups(labeled, unlabeled, weights, global_uniformity)
 
 
 def _decoupled_groups(
-    labeled: np.ndarray, unlabeled: np.ndarray, w: np.ndarray | None, global_uniformity: bool
+    labeled: np.ndarray,
+    unlabeled: np.ndarray,
+    weights: tuple[np.ndarray, np.ndarray] | None,
+    global_uniformity: bool,
 ) -> list[_Group]:
-    """Decoupled groups from trusted disjoint, covering rows and labeled weights."""
+    """Decoupled groups from trusted disjoint, covering rows and the labeled
+    rows' (classes, table)."""
     groups = []
     if len(labeled):
         # Global uniformity repels every distinct labeled pair at weight 1.
-        repel = 1.0 - (np.eye(len(w)) if global_uniformity else w)
-        groups.append(_Group(labeled, w, repel, (ALIGN_LABELED, UNIF_LABELED), True))
+        uniform = 0.0 if global_uniformity else None
+        groups.append(_Group(labeled, *weights, (ALIGN_LABELED, UNIF_LABELED), True, uniform))
     if len(unlabeled):
-        eye = np.eye(len(unlabeled))
-        groups.append(_Group(unlabeled, eye, 1.0 - eye, (ALIGN_UNLABELED, UNIF_UNLABELED), True))
+        groups.append(_Group(unlabeled, None, None, (ALIGN_UNLABELED, UNIF_UNLABELED), True))
     return groups
 
 
-def _evaluate(
-    d: np.ndarray, groups: list[_Group], coefficients: bool = False
-) -> tuple[dict[str, float], list[tuple[np.ndarray, np.ndarray, np.ndarray | None]]]:
-    """Values of the groups' present terms over d, in group order.
+def _same_exam(block: np.ndarray, lo: int) -> np.ndarray:
+    """The cells of a C-contiguous (b, m) block of group rows lo..lo+b-1 that
+    pair a row with itself: (k, lo + k) for every k < b."""
+    return block.ravel()[lo :: block.shape[1] + 1]
 
-    With ``coefficients`` also returns one (rows, align, repel) block per
-    group, where align[a, b] and repel[a, b] are the derivatives of its
-    alignment and uniformity terms by d[rows[a], rows[b]] (repel is None
-    when that term is skipped); value-only callers get an empty list and
-    build no coefficient matrices.
+
+def _evaluate(
+    batch: ViewPairBatch | None,
+    groups: list[_Group],
+    d: np.ndarray | None = None,
+    coefficients: bool = False,
+) -> tuple[dict[str, float], list[tuple[np.ndarray, np.ndarray, np.ndarray | None]]]:
+    """Values of the groups' present terms, in group order.
+
+    A group of m rows is walked in blocks of b = max(1, _BLOCK_CELLS // m)
+    rows.  A block's distances against the group's columns are gathered
+    from d when given, else built by pairwise_distances from batch; its
+    weights are gathered from the group's class table.  Its alignment and
+    repulsion partial sums are added up, and the terms are formed after the
+    last block, so the temporaries scale with (b, m), not (m, m).
+
+    With ``coefficients`` each group is one block (b = m) over d, and one
+    (rows, align, repel) block per group is also returned, where
+    align[a, b] and repel[a, b] are the derivatives of its alignment and
+    uniformity terms by d[rows[a], rows[b]] (repel is None when that term
+    is skipped); value-only callers get an empty list and build no
+    coefficient matrices.
     """
     terms: dict[str, float] = {}
     blocks = []
     for g in groups:
         align_name, unif_name = g.terms
         m = len(g.rows)
-        d_g = d[g.rows[:, None], g.rows]
-        # A zero weight adds exactly 0, even where d overflowed to inf.
-        aligned = np.multiply(g.align, d_g, out=np.zeros(d_g.shape), where=g.align != 0)
-        terms[align_name] = float(aligned.sum() / m)
-        repel = g.repel * np.exp(-d_g)
-        s = float(repel.sum())
+        b = m if coefficients else max(1, _BLOCK_CELLS // m)
+        aligned = s = 0.0
+        for lo in range(0, m, b):
+            rows = g.rows[lo : lo + b]
+            d_b = pairwise_distances(batch, rows, g.rows) if d is None else d[rows[:, None], g.rows]
+            if g.table is None:
+                w = np.zeros((len(rows), m))
+            else:
+                w = g.table[g.classes[lo : lo + b, None], g.classes]
+            _same_exam(w, lo)[:] = 1.0
+            # A zero weight adds exactly 0, even where d overflowed to inf.
+            aligned += np.multiply(w, d_b, out=np.zeros(d_b.shape), where=w != 0).sum()
+            if g.uniform is None:
+                repel = 1.0 - w
+            else:
+                repel = np.ones(w.shape)
+                _same_exam(repel, lo)[:] = g.uniform
+            repel *= np.exp(np.negative(d_b, out=d_b), out=d_b)
+            s += float(repel.sum())
+            if not coefficients:
+                del d_b, w, repel  # freed before the next block is built
+        terms[align_name] = float(aligned / m)
         if s != 0.0:
             terms[unif_name] = float(np.log(s / m**2))
         elif not g.skip_zero:
@@ -295,7 +357,7 @@ def _evaluate(
                 f"degenerate uniformity: the {unif_name} repulsion sum is zero, nothing repels"
             )
         if coefficients:
-            blocks.append((g.rows, g.align / m, -repel / s if s != 0.0 else None))
+            blocks.append((g.rows, w / m, -repel / s if s != 0.0 else None))
     return terms, blocks
 
 
@@ -330,9 +392,8 @@ def evaluate_loss(
     global_uniformity: bool = False,
 ) -> LossBreakdown:
     """Loss breakdown of the named variant; see LOSS_KINDS."""
-    d = pairwise_distances(batch)
     groups = _groups(kind, batch.n, partition, kernel, global_uniformity)
-    return _breakdown(groups, _evaluate(d, groups)[0])
+    return _breakdown(groups, _evaluate(batch, groups)[0])
 
 
 def loss_conditional(batch: ViewPairBatch, kernel: KernelMatrix) -> LossBreakdown:
@@ -414,7 +475,7 @@ def _decoupled_coefficients(
     """Per-term full-size coefficient matrices; zero outside each block."""
     groups = _groups("decoupled", len(d), partition, kernel, global_uniformity)
     out: dict[str, np.ndarray] = {}
-    for g, (rows, *term_blocks) in zip(groups, _evaluate(d, groups, coefficients=True)[1]):
+    for g, (rows, *term_blocks) in zip(groups, _evaluate(None, groups, d, coefficients=True)[1]):
         for term, block in zip(g.terms, term_blocks):
             if block is not None:
                 c = out[term] = np.zeros(d.shape)
@@ -453,7 +514,7 @@ def _gradient(batch: ViewPairBatch, groups: list[_Group]) -> tuple[dict[str, flo
     """Term values and gradient stack of loss_gradient, over groups the
     caller has already validated."""
     d = pairwise_distances(batch)
-    terms, blocks = _evaluate(d, groups, coefficients=True)
+    terms, blocks = _evaluate(batch, groups, d, coefficients=True)
     c = np.zeros((batch.n, batch.n))
     for rows, align, repel in blocks:  # disjoint groups: one write per block
         c[rows[:, None], rows] = align if repel is None else align + repel

@@ -139,25 +139,34 @@ class KernelMatrix:
     """Pairwise weights over a batch of labeled exams.
 
     ``weights[i, j]`` weighs the pair (view 1 of exam i, view 2 of exam j);
-    the diagonal marks same-exam pairs and is identically 1, and every
-    weight lies in [0, 1].  Both are checked once, at construction.
+    the diagonal marks same-exam pairs and is identically 1.  Given
+    ``classes`` (kernel_classes' form), ``weights`` is instead a K x K
+    class table: exams i != j weigh weights[classes[i], classes[j]] and an
+    exam with itself weighs 1, so no N x N array exists.  Every weight lies
+    in [0, 1].  All of this is checked once, at construction.
     """
 
     weights: np.ndarray
+    classes: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         w = np.asarray(self.weights, dtype=np.float64)
         if w.ndim != 2 or w.shape[0] != w.shape[1]:
             raise ValueError(f"kernel must be square, got shape {w.shape}")
-        if not np.all(np.diag(w) == 1.0):
+        if self.classes is None and not np.all(np.diag(w) == 1.0):
             raise ValueError("kernel diagonal must be identically 1")
         if not ((w >= 0.0) & (w <= 1.0)).all():
             raise ValueError("kernel weights must lie in [0, 1]")
+        if self.classes is not None:
+            c = np.asarray(self.classes)
+            if c.ndim != 1 or not np.issubdtype(c.dtype, np.integer) or not ((c >= 0) & (c < len(w))).all():
+                raise ValueError(f"kernel classes must be a 1-D integer array of table rows 0..{len(w) - 1}")
+            object.__setattr__(self, "classes", c.astype(np.intp))
         object.__setattr__(self, "weights", w)
 
     @property
     def n(self) -> int:
-        return self.weights.shape[0]
+        return self.weights.shape[0] if self.classes is None else len(self.classes)
 
 
 # ---------------------------------------------------------------------------

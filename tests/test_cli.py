@@ -9,7 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from confcl import bench, io as cio, losses
+from confcl import bench, io as cio, losses, metadata
 from confcl.bench import batch_loss_inputs, variant_spec
 from confcl.cli import _random_summaries, build_parser, main
 from confcl.detection import DynamicThresholdParams
@@ -529,6 +529,76 @@ def test_loss_non_finite_result_exits_1_and_writes_nothing(capsys, tmp_path):
         assert err["error"] == "ValueError" and "JSON" in err["message"]
     assert not out.exists()
     assert os.listdir(tmp_path) == ["views.emb"]
+
+
+def _huge_views():
+    """A 4 x 2 batch of finite values around 1e160: every squared row norm
+    and every distance between different rows overflows float64."""
+    x1 = np.array([[1e160, 2e160], [-3e160, 1e160], [2e160, -2e160], [-1e160, -3e160]])
+    return x1, x1 * 1.01
+
+
+def test_loss_normalize_refuses_a_row_whose_squared_norm_overflows(capsys, tmp_path):
+    # normalize_rows would divide such a row by an infinite norm: all zeros,
+    # and the loss of an all-zero batch.
+    x1, x2 = _huge_views()
+    packed = str(tmp_path / "views.emb")
+    cio.write_embeddings(packed, x1, x2)
+    p1, p2 = str(tmp_path / "x1.csv"), str(tmp_path / "x2.csv")
+    cio.write_matrix_csv(p1, np.ones((4, 2)))
+    cio.write_matrix_csv(p2, x2)
+    for views, named in (
+        (["--embeddings", packed], f"row 0 of view 1 in --embeddings {packed}"),
+        (["--x1", p1, "--x2", p2], f"row 0 of view 2 in --x2 {p2}"),
+    ):
+        code, stdout, stderr = _run(capsys, ["loss", *views, "--normalize"])
+        assert (code, stdout) == (1, "")
+        message = json.loads(stderr)["message"]
+        assert message.startswith("--normalize: ") and named in message, message
+
+
+def test_loss_names_the_non_finite_terms_and_the_input_files(capsys, tmp_path):
+    x1, x2 = _huge_views()
+    packed = str(tmp_path / "views.emb")
+    cio.write_embeddings(packed, x1, x2)
+    p1, p2 = str(tmp_path / "x1.csv"), str(tmp_path / "x2.csv")
+    cio.write_matrix_csv(p1, x1)
+    cio.write_matrix_csv(p2, x2)
+    for views, named in (
+        (["--embeddings", packed], [f"--embeddings {packed}"]),
+        (["--x1", p1, "--x2", p2], [f"--x1 {p1}", f"--x2 {p2}"]),
+    ):
+        code, stdout, stderr = _run(capsys, ["loss", *views])
+        assert (code, stdout) == (1, "")
+        message = json.loads(stderr)["message"]
+        for part in named + ["align_unlabeled = inf", "total = inf"]:
+            assert part in message, message
+        assert "unif_unlabeled" not in message  # skipped: every distinct pair is at inf
+
+
+def test_loss_command_builds_its_kernel_from_the_class_table(capsys, tmp_path, monkeypatch):
+    # The dense |A| x |A| kernel is never built; the total is the library's
+    # over the dense kernel all the same.
+    rng = np.random.default_rng(8)
+    x1, x2 = rng.normal(size=(9, 3)), rng.normal(size=(9, 3))
+    packed = str(tmp_path / "views.emb")
+    cio.write_embeddings(packed, x1, x2)
+    rows = [(e, "pirads", v) for e, v in zip("abcdefg", (5, 4, 1, 2, 5, 1, 3))] + [("a", "pirads", 4)]
+    meta = _write_metadata(tmp_path / "meta.csv", rows)
+    summaries = summarize_batch(cio.read_metadata_csv(meta))
+    summaries += [MetadataSummary.unlabeled(f"row-{i}") for i in range(len(summaries), 9)]
+    partition, kernel = batch_loss_inputs(summaries, variant_spec("proposed"))
+    expected = loss_decoupled(ViewPairBatch(x1, x2), partition, kernel)
+
+    def no_dense_kernel(*args, **kwargs):
+        raise AssertionError("loss built a dense kernel")
+
+    monkeypatch.setattr(metadata, "kernel_matrix", no_dense_kernel)
+    monkeypatch.setattr(bench, "kernel_matrix", no_dense_kernel)
+    code, stdout, _ = _run(capsys, ["loss", "--embeddings", packed, "--metadata", meta])
+    assert code == 0
+    payload = json.loads(stdout)
+    assert payload["total"] == expected.total and payload["n_labeled"] == len(partition.labeled) == 6
 
 
 def test_loss_requires_both_view_files(capsys, tmp_path):

@@ -6,10 +6,12 @@ gradients are checked against central finite differences.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from confcl import bench, losses
 from confcl.losses import (
     ALIGN_LABELED,
     ALIGN_UNLABELED,
@@ -34,7 +36,15 @@ from confcl.losses import (
     _decoupled_coefficients,
     _gradient_from_coefficients,
 )
-from confcl.metadata import KernelMatrix, KernelVariant, MetadataSummary
+from confcl.metadata import (
+    AnnotationVector,
+    KernelMatrix,
+    KernelVariant,
+    MetadataSummary,
+    kernel_classes,
+    kernel_matrix,
+    summarize,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -640,3 +650,175 @@ def test_gradient_step_attracts_views_and_repels_different_labels():
     d1 = pairwise_distances(stepped)
     assert d1[0, 0] + d1[1, 1] < d0[0, 0] + d0[1, 1]
     assert d1[0, 1] + d1[1, 0] > d0[0, 1] + d0[1, 0]
+
+
+# ---------------------------------------------------------------------------
+# Row blocks
+# ---------------------------------------------------------------------------
+
+
+def _summaries(rng, n, trusted=None):
+    """n exams, a fifth of them without votes, the rest with up to four
+    votes that each flip the exam's label one time in six, summarized with
+    trusted."""
+    out = []
+    for i in range(n):
+        k = int(rng.integers(0, 5))
+        votes = tuple(int(v) for v in (int(rng.integers(0, 2)) ^ (rng.uniform(0, 1, k) < 1 / 6)))
+        out.append(summarize(AnnotationVector(f"e{i}", votes, bench.vote_sources(k)), 0.1, trusted))
+    return out
+
+
+def _class_kernel(summaries, variant):
+    classes, table = kernel_classes(summaries, variant)
+    return KernelMatrix(table, classes)
+
+
+def _block_cases():
+    """name -> (batch, loss arguments) over every kind, every decoupled
+    variant with dense and class-table kernels, and the edge groups."""
+    rng = np.random.default_rng(31)
+    n = 23
+    batch = _random_batch(rng, n=n, dim=4)
+    cases = {
+        "nce": (batch, dict(kind="nce")),
+        "conditional": (batch, dict(kind="conditional", kernel=_random_kernel(rng, n))),
+    }
+    for variant in ("proposed", "hc", "majority", "biopsy", "glu"):
+        spec = bench.variant_spec(variant)
+        summaries = _summaries(rng, n, spec.trusted)
+        partition, kernel = bench.batch_loss_inputs(summaries, spec)
+        assert len(partition.labeled) > 7 and len(partition.unlabeled) > 1
+        args = dict(kind="decoupled", partition=partition, global_uniformity=spec.global_uniformity)
+        cases[f"decoupled-{variant}"] = (batch, dict(args, kernel=kernel))
+        labeled = [summaries[i] for i in partition.labeled]
+        cases[f"decoupled-{variant}-classes"] = (batch, dict(args, kernel=_class_kernel(labeled, spec.kernel)))
+    one_unlabeled = BatchPartition(tuple(range(n - 1)), (n - 1,))
+    cases["one unlabeled row"] = (
+        batch, dict(kind="decoupled", partition=one_unlabeled, kernel=_random_kernel(rng, n - 1))
+    )
+    cases["all-ones kernel"] = (
+        batch, dict(kind="decoupled", partition=one_unlabeled, kernel=KernelMatrix(np.ones((n - 1, n - 1))))
+    )
+    # Row 9 is far out: its distances to every other row overflow to inf,
+    # and its kernel weight to every other labeled row is 0.  With 10
+    # labeled rows it sits in the second block at b = 7 and alone at b = 1.
+    x1 = rng.normal(0, 1, (12, 2))
+    x1[9] = (1e200, 0.0)
+    x2 = x1.copy()
+    x2[:9] += rng.normal(0, 0.1, (9, 2))
+    labels = [(0, 1.0), (0, 0.5)] * 4 + [(0, 1.0), (1, 1.0)]
+    far = [MetadataSummary.labeled(f"e{i}", label, conf) for i, (label, conf) in enumerate(labels)]
+    cases["zero weight at an inf distance in a later block"] = (
+        ViewPairBatch(x1, x2),
+        dict(kind="decoupled", partition=BatchPartition(tuple(range(10)), (10, 11)), kernel=kernel_matrix(far)),
+    )
+    return cases
+
+
+_BLOCK_CASES = _block_cases()
+
+
+@pytest.mark.parametrize("name", list(_BLOCK_CASES))
+def test_every_block_size_gives_the_same_terms(monkeypatch, name):
+    batch, args = _BLOCK_CASES[name]
+    args = dict(args)
+    kind = args.pop("kind")
+    groups = losses._groups(
+        kind, batch.n, args.get("partition"), args.get("kernel"), args.get("global_uniformity", False)
+    )
+    sizes = [len(g.rows) for g in groups]
+    # The gradient's one block per group, over its own distance matrix.
+    whole = loss_gradient(kind, batch, **args).breakdown
+    blocks = []
+    real = losses.pairwise_distances
+
+    def counting(batch, rows, cols):
+        blocks.append(len(rows))
+        return real(batch, rows, cols)
+
+    monkeypatch.setattr(losses, "pairwise_distances", counting)
+    assert evaluate_loss(kind, batch, **args) == whole
+    assert blocks == sizes  # a group of up to 512 rows is one block
+    budgets = [1] + [7 * m for m in sizes] + [batch.n**2]
+    for budget in budgets:
+        monkeypatch.setattr(losses, "_BLOCK_CELLS", budget)
+        blocks.clear()
+        got = evaluate_loss(kind, batch, **args)
+        rows = [max(1, budget // m) for m in sizes]
+        assert blocks == [min(b, m - lo) for b, m in zip(rows, sizes) for lo in range(0, m, b)]
+        want, have = whole.as_dict(), got.as_dict()
+        for key in ("present", "skipped", "n_labeled", "n_unlabeled"):
+            assert have[key] == want[key], (budget, key)
+        for key in (ALIGN_LABELED, UNIF_LABELED, ALIGN_UNLABELED, UNIF_UNLABELED, "total"):
+            assert np.isfinite(have[key])
+            assert abs(have[key] - want[key]) <= 1e-12 * max(1.0, abs(want[key])), (budget, key)
+
+
+def test_distances_of_row_sets_are_the_full_matrix_entries():
+    rng = np.random.default_rng(32)
+    batch = _random_batch(rng, n=70, dim=5)
+    d = pairwise_distances(batch)
+    for _ in range(5):
+        rows = rng.permutation(70)[: int(rng.integers(1, 70))]
+        cols = rng.permutation(70)[: int(rng.integers(1, 70))]
+        assert np.array_equal(pairwise_distances(batch, rows, cols), d[rows[:, None], cols])
+    assert np.array_equal(pairwise_distances(batch, slice(33, 70), slice(None)), d[33:])
+
+
+def test_class_table_kernel_is_the_dense_kernel_bit_for_bit():
+    rng = np.random.default_rng(33)
+    for variant in KernelVariant:
+        summaries = [s for s in _summaries(rng, 40) if s.is_labeled]
+        partition = BatchPartition(tuple(range(len(summaries))), ())
+        batch = _random_batch(rng, n=len(summaries), dim=3)
+        dense, table = kernel_matrix(summaries, variant), _class_kernel(summaries, variant)
+        assert table.n == dense.n == len(summaries)
+        for glu in (False, True):
+            assert loss_decoupled(batch, partition, table, glu) == loss_decoupled(batch, partition, dense, glu)
+            got, want = (loss_gradient("decoupled", batch, partition, k, glu) for k in (table, dense))
+            assert np.array_equal(got.g1, want.g1) and np.array_equal(got.g2, want.g2)
+
+
+def test_class_table_kernel_validation():
+    with pytest.raises(ValueError, match="square"):
+        KernelMatrix(np.zeros((2, 3)), np.array([0, 1]))
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        KernelMatrix(np.array([[1.5]]), np.array([0]))
+    for classes in (np.array([0, 2]), np.array([-1, 0]), np.array([0.0, 1.0]), np.zeros((2, 2), int)):
+        with pytest.raises(ValueError, match="classes"):
+            KernelMatrix(np.zeros((2, 2)), classes)
+    # The table's diagonal weighs two exams of one class, not an exam with itself.
+    kernel = KernelMatrix(np.array([[0.5, 0.0], [0.0, 0.0]]), np.array([0, 0, 1]))
+    assert kernel.n == 3
+    batch = _random_batch(np.random.default_rng(34), n=3, dim=2)
+    with pytest.raises(ValueError, match=r"shape \(3, 3\) does not match n = 2"):
+        loss_decoupled(batch, BatchPartition((0, 1), (2,)), kernel)
+
+
+def _loss_peak(batch, partition, kernel):
+    tracemalloc.start()
+    try:
+        breakdown = loss_decoupled(batch, partition, kernel)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return breakdown, peak
+
+
+def test_loss_at_2000_rows_holds_no_n_by_n_array():
+    # One 2000 x 2000 float64 array is 30.5 MiB, and the loss used to hold
+    # five or six of them at once (about 180 MiB).  A row block holds about
+    # 2**18 cells (2 MiB per float64 array), and the peak is about 8 MiB.
+    n = 2000
+    rng = np.random.default_rng(35)
+    summaries = _summaries(rng, n)
+    partition = partition_batch(summaries)
+    labeled = [summaries[i] for i in partition.labeled]
+    assert len(labeled) > 1000 and len(partition.unlabeled) > 500
+    x1 = rng.normal(0, 1, (n, 8))
+    batch = ViewPairBatch(x1, x1 + rng.normal(0, 0.1, (n, 8)))
+    dense, dense_peak = _loss_peak(batch, partition, kernel_matrix(labeled))
+    classes, classes_peak = _loss_peak(batch, partition, _class_kernel(labeled, KernelVariant.PROPOSED))
+    assert classes == dense
+    assert dense_peak < 12 * 2**20 and classes_peak < 12 * 2**20
