@@ -2,12 +2,12 @@
 
 The package exposes only ``__version__``; import from the submodules::
 
-    from confcl.losses import ViewPairBatch, loss_decoupled, partition_batch
-    from confcl.metadata import kernel_matrix, summarize
+    from confcl.bench import batch_loss_inputs, variant_spec
+    from confcl.losses import ViewPairBatch, loss_decoupled
+    from confcl.metadata import summarize
 
     summaries = [summarize(v) for v in vectors]
-    part = partition_batch(summaries)
-    kernel = kernel_matrix([summaries[i] for i in part.labeled])
+    part, kernel = batch_loss_inputs(summaries, variant_spec("proposed"))
     breakdown = loss_decoupled(batch, part, kernel)
 
 plus detection metrics (``confcl.detection``), a synthetic ablation

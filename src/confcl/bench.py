@@ -34,11 +34,12 @@ from .losses import (
 from .metadata import (
     DEFAULT_EPSILON,
     AnnotationVector,
+    KernelMatrix,
     KernelVariant,
     Source,
     check_epsilon,
     check_field_types,
-    kernel_matrix,
+    kernel_classes,
     summarize,
 )
 
@@ -363,33 +364,34 @@ def variant_spec(name: str) -> VariantSpec:
         ) from None
 
 
-def batch_loss_inputs(summaries, spec: VariantSpec):
-    """Partition a batch's summaries and build the labeled-block kernel."""
+def batch_loss_inputs(summaries, spec: VariantSpec) -> tuple[BatchPartition, KernelMatrix | None]:
+    """Partition a batch's summaries, and the labeled rows' kernel as
+    kernel_classes' class table (n = 0 when no row is labeled); the kernel
+    is None only for a variant that ignores metadata."""
     if spec.kernel is None:
         return BatchPartition((), tuple(range(len(summaries)))), None
     partition = partition_batch(summaries, spec.kernel)
-    labeled = [summaries[i] for i in partition.labeled]
-    return partition, kernel_matrix(labeled, spec.kernel) if labeled else None
+    classes, table = kernel_classes([summaries[i] for i in partition.labeled], spec.kernel)
+    return partition, KernelMatrix(table, classes)
 
 
 class StudyCell(NamedTuple):
-    """A dataset and one variant's labeled block, built once: ``block_row[i]``
-    is exam i's row in the block's kernel ``weights``, or -1 if unlabeled."""
+    """A dataset and one variant's labeled kernel, built once: ``exam_class[i]``
+    is exam i's class in the K x K ``table``, or -1 if unlabeled."""
 
     dataset: SynthDataset
     spec: VariantSpec
-    block_row: np.ndarray
-    weights: np.ndarray | None
+    exam_class: np.ndarray
+    table: np.ndarray | None
 
     def groups(self, idx: np.ndarray) -> list:
-        """The decoupled loss groups of the exams idx, as a batch in that order;
-        the labeled rows' class table is the block itself."""
-        rows = self.block_row[idx]
-        labeled = rows >= 0
+        """The decoupled loss groups of the exams idx, as a batch in that order."""
+        classes = self.exam_class[idx]
+        labeled = classes >= 0
         return _decoupled_groups(
             labeled.nonzero()[0],
             (~labeled).nonzero()[0],
-            (rows[labeled], self.weights),
+            (classes[labeled], self.table),
             self.spec.global_uniformity,
         )
 
@@ -399,9 +401,11 @@ def study_cell(config: SynthConfig, dataset: SynthDataset, variant: str) -> Stud
     spec = variant_spec(variant)
     summaries = [summarize(a, config.epsilon, spec.trusted) for a in dataset.annotations]
     partition, kernel = batch_loss_inputs(summaries, spec)
-    block_row = np.full(len(dataset.labels), -1)
-    block_row[list(partition.labeled)] = np.arange(len(partition.labeled))
-    return StudyCell(dataset, spec, block_row, kernel.weights if kernel else None)
+    exam_class = np.full(len(dataset.labels), -1)
+    if kernel is None:
+        return StudyCell(dataset, spec, exam_class, None)
+    exam_class[list(partition.labeled)] = kernel.classes
+    return StudyCell(dataset, spec, exam_class, kernel.weights)
 
 
 def _paired_rows(order: np.ndarray, batch_size: int) -> np.ndarray:
@@ -430,7 +434,7 @@ def train(
         config.normalize_embeddings,
         rng,
     )
-    n = len(cell.block_row)
+    n = len(cell.exam_class)
     velocity = {k: np.zeros_like(v) for k, v in encoder.params().items()}
     epoch_losses: list[float] = []
     for epoch in range(config.epochs):
@@ -575,11 +579,15 @@ def _evaluate_cell(
     v2 = augment(features, config.aug_sigma, eval_rng)
     batch = ViewPairBatch(encoder.encode(v1), encoder.encode(v2))
     d = pairwise_distances(batch)
-    align = float(np.trace(d) / batch.n)
-    off = ~np.eye(batch.n, dtype=bool)
-    unif = float(np.log(np.exp(-d[off]).mean())) if batch.n >= 2 else 0.0
+    n = batch.n
+    align = float(np.trace(d) / n)
+    # One copy of the off-diagonal distances, in row-major order, is
+    # exponentiated in place and freed before the loss blocks are built.
+    e = np.delete(d.ravel(), np.arange(0, d.size, n + 1))
+    unif = float(np.log(np.exp(np.negative(e, out=e), out=e).mean())) if n >= 2 else 0.0
+    del e
     # The decoupled loss over every exam reads the diagnostics' distance matrix.
-    groups = cell.groups(np.arange(batch.n))
+    groups = cell.groups(np.arange(n))
     breakdown = _breakdown(groups, _evaluate(batch, groups, d)[0])
     return align, unif, breakdown
 

@@ -119,17 +119,15 @@ def _check_paths(args: argparse.Namespace) -> None:
 
 def _cmd_kernel(args: argparse.Namespace) -> int:
     summaries = _read_summaries(args, _parse_overrides(args))
-    variant = bench.variant_spec(args.variant).kernel
-    partition = losses.partition_batch(summaries, variant)
-    classes, table = metadata.kernel_classes([summaries[i] for i in partition.labeled], variant)
-    cio.write_kernel_csv(args.out, classes, table)
+    partition, kernel = bench.batch_loss_inputs(summaries, bench.variant_spec(args.variant))
+    cio.write_kernel_csv(args.out, kernel.classes, kernel.weights)
     _print_json(
         {
             "variant": args.variant,
             "epsilon": args.epsilon,
             "labeled": [summaries[i].exam_id for i in partition.labeled],
             "unlabeled": [summaries[i].exam_id for i in partition.unlabeled],
-            "shape": [len(classes)] * 2,
+            "shape": [kernel.n] * 2,
             "out": args.out,
         },
         None,
@@ -169,20 +167,6 @@ def _normalized(batch: losses.ViewPairBatch, sources: tuple[str, str]) -> losses
     return losses.ViewPairBatch(*views)
 
 
-def _loss_inputs(
-    summaries: list[metadata.MetadataSummary], spec: bench.VariantSpec
-) -> tuple[losses.BatchPartition, metadata.KernelMatrix | None]:
-    """bench.batch_loss_inputs, with the labeled kernel in kernel_classes'
-    form, so that no N x N or |A| x |A| array is built."""
-    if spec.kernel is None:
-        return losses.BatchPartition((), tuple(range(len(summaries)))), None
-    partition = losses.partition_batch(summaries, spec.kernel)
-    if not partition.labeled:
-        return partition, None
-    classes, table = metadata.kernel_classes([summaries[i] for i in partition.labeled], spec.kernel)
-    return partition, metadata.KernelMatrix(table, classes)
-
-
 def _cmd_loss(args: argparse.Namespace) -> int:
     overrides = _parse_overrides(args)
     for flag, given in (("--epsilon-override", overrides), ("--biopsy-source", args.biopsy_source)):
@@ -203,7 +187,7 @@ def _cmd_loss(args: argparse.Namespace) -> int:
     summaries += [
         metadata.MetadataSummary.unlabeled(f"row-{i}") for i in range(len(summaries), batch.n)
     ]
-    partition, kernel = _loss_inputs(summaries, spec)
+    partition, kernel = bench.batch_loss_inputs(summaries, spec)
     breakdown = losses.loss_decoupled(batch, partition, kernel, spec.global_uniformity)
     payload = breakdown.as_dict()
     names = sorted(breakdown.present) + ["total"]
@@ -276,13 +260,16 @@ def _cmd_eval_detect(args: argparse.Namespace) -> int:
         )
     if args.threshold is not None and args.dynamic:
         raise ValueError("give --threshold or --dynamic, not both")
-    # Every setting is checked before the first file is read.
+    # Every setting is checked before the first file is read; a search
+    # setting away from its default is an error without --dynamic.
     detection.check_tau(args.tau)
+    search = dataclasses.fields(detection.DynamicThresholdParams)
     if args.dynamic:
-        threshold = detection.DynamicThresholdParams(
-            **{f.name: getattr(args, f.name) for f in dataclasses.fields(detection.DynamicThresholdParams)}
-        )
+        threshold = detection.DynamicThresholdParams(**{f.name: getattr(args, f.name) for f in search})
     else:
+        for f in search:
+            if getattr(args, f.name) != f.default:
+                raise ValueError(f"--{f.name.replace('_', '-')} is a search setting; give it with --dynamic")
         threshold = detection.check_threshold(0.5 if args.threshold is None else args.threshold)
     results = []
     for idx, (prob_path, ref_path) in enumerate(zip(args.prob, args.ref)):

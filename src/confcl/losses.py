@@ -235,13 +235,12 @@ class _Group(NamedTuple):
 
 
 def _kernel_weights(kernel: KernelMatrix | None, n: int, what: str) -> tuple[np.ndarray, np.ndarray]:
-    """The (classes, table) of a kernel over n exams; a dense kernel is
-    classes = arange(n) with table = its weights."""
+    """The (classes, table) of a kernel over n exams."""
     if kernel is None:
         raise ValueError(f"{what}: no kernel given for {n} labeled rows")
     if kernel.n != n:
         raise ValueError(f"{what}: kernel shape {(kernel.n, kernel.n)} does not match n = {n}")
-    return np.arange(n) if kernel.classes is None else kernel.classes, kernel.weights
+    return kernel.classes, kernel.weights
 
 
 def _groups(

@@ -136,14 +136,14 @@ class MetadataSummary:
 
 @dataclass(frozen=True)
 class KernelMatrix:
-    """Pairwise weights over a batch of labeled exams.
+    """Pairwise weights over a batch of labeled exams, as a class table.
 
-    ``weights[i, j]`` weighs the pair (view 1 of exam i, view 2 of exam j);
-    the diagonal marks same-exam pairs and is identically 1.  Given
-    ``classes`` (kernel_classes' form), ``weights`` is instead a K x K
-    class table: exams i != j weigh weights[classes[i], classes[j]] and an
-    exam with itself weighs 1, so no N x N array exists.  Every weight lies
-    in [0, 1].  All of this is checked once, at construction.
+    Exam i is in class ``classes[i]``; exams i != j weigh
+    ``weights[classes[i], classes[j]]`` and an exam with itself (two views
+    of one exam) weighs 1, so no N x N array need exist.  ``KernelMatrix(w)``
+    takes a dense N x N kernel, whose diagonal must be identically 1, as
+    the table of N one-exam classes: ``classes = arange(N)``.  Every weight
+    lies in [0, 1].  All of this is checked once, at construction.
     """
 
     weights: np.ndarray
@@ -157,16 +157,15 @@ class KernelMatrix:
             raise ValueError("kernel diagonal must be identically 1")
         if not ((w >= 0.0) & (w <= 1.0)).all():
             raise ValueError("kernel weights must lie in [0, 1]")
-        if self.classes is not None:
-            c = np.asarray(self.classes)
-            if c.ndim != 1 or not np.issubdtype(c.dtype, np.integer) or not ((c >= 0) & (c < len(w))).all():
-                raise ValueError(f"kernel classes must be a 1-D integer array of table rows 0..{len(w) - 1}")
-            object.__setattr__(self, "classes", c.astype(np.intp))
+        c = np.arange(len(w)) if self.classes is None else np.asarray(self.classes)
+        if c.ndim != 1 or not np.issubdtype(c.dtype, np.integer) or not ((c >= 0) & (c < len(w))).all():
+            raise ValueError(f"kernel classes must be a 1-D integer array of table rows 0..{len(w) - 1}")
+        object.__setattr__(self, "classes", c.astype(np.intp))
         object.__setattr__(self, "weights", w)
 
     @property
     def n(self) -> int:
-        return self.weights.shape[0] if self.classes is None else len(self.classes)
+        return len(self.classes)
 
 
 # ---------------------------------------------------------------------------

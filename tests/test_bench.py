@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -713,6 +714,42 @@ def test_run_cell_summarizes_each_exam_once_and_builds_one_block(monkeypatch):
     }
 
 
+def _traced(f):
+    """f()'s result, the bytes it allocated and still holds, and its peak."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        result = f()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, held - start, peak - start
+
+
+def test_study_cell_at_2000_exams_holds_its_class_table_not_a_block():
+    # The labeled block of 2000 exams is about 1200 x 1200 float64 (11 MiB);
+    # the cell keeps each exam's class and the K x K table instead.
+    cfg = SynthConfig(n_exams=2000)
+    data = generate_dataset(cfg, seed=0)
+    cell, held, _ = _traced(lambda: study_cell(cfg, data, "proposed"))
+    assert np.count_nonzero(cell.exam_class >= 0) > 1000
+    assert cell.table.shape[0] < 50
+    assert held < 2**20
+
+
+def test_eval_cell_at_2000_exams_holds_one_distance_matrix_and_one_copy():
+    # One 2000 x 2000 float64 array is 30.5 MiB.  The eval keeps the
+    # distances and one off-diagonal copy for the uniformity diagnostic;
+    # an N x N mask and a negated copy on top of those would exceed 2.5 of them.
+    cfg = SynthConfig(n_exams=2000)
+    cell = study_cell(cfg, generate_dataset(cfg, seed=0), "proposed")
+    encoder = Encoder.init(cfg.input_dim, cfg.hidden_dim, cfg.embed_dim, True, np.random.default_rng(0))
+    import confcl.bench as bench
+
+    _, _, peak = _traced(lambda: bench._evaluate_cell(cfg, cell, encoder, np.random.default_rng(1)))
+    assert peak < 2.5 * 2000 * 2000 * 8
+
+
 # ---------------------------------------------------------------------------
 # Linear probe
 
@@ -847,11 +884,11 @@ def test_batch_loss_inputs_hc_demotes_uncertain_exams():
     assert kernel.n == 2
 
 
-def test_batch_loss_inputs_all_unlabeled_has_no_kernel():
+def test_batch_loss_inputs_all_unlabeled_has_an_empty_kernel():
     summaries = [MetadataSummary.unlabeled("a"), MetadataSummary.unlabeled("b")]
     partition, kernel = batch_loss_inputs(summaries, variant_spec("proposed"))
     assert partition.labeled == ()
-    assert kernel is None
+    assert kernel.n == 0 and kernel.weights.shape == (0, 0)
 
 
 # ---------------------------------------------------------------------------

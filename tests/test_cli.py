@@ -185,10 +185,19 @@ def test_kernel_on_a_study_datasets_annotations_equals_its_study_cell(capsys, tm
     meta = _write_metadata(tmp_path / "meta.csv", rows)
     out = tmp_path / "kernel.csv"
     assert _run(capsys, ["kernel", "--metadata", meta, "--variant", variant, "--out", str(out)])[0] == 0
-    expected = bench.study_cell(cfg, data, variant).weights
+    expected = _cell_kernel(bench.study_cell(cfg, data, variant))
     assert np.array_equal(cio.read_matrix_csv(str(out)), expected)
     if variant == "biopsy":
-        assert not np.array_equal(expected, bench.study_cell(cfg, data, "proposed").weights)
+        assert not np.array_equal(expected, _cell_kernel(bench.study_cell(cfg, data, "proposed")))
+
+
+def _cell_kernel(cell):
+    """A study cell's labeled kernel, dense: its table gathered over the
+    labeled exams' classes, 1 on the diagonal."""
+    classes = cell.exam_class[cell.exam_class >= 0]
+    w = cell.table[classes[:, None], classes]
+    np.fill_diagonal(w, 1.0)
+    return w
 
 
 def test_gradcheck_biopsy_trusts_exactly_the_lone_vote_exams():
@@ -576,9 +585,13 @@ def test_loss_names_the_non_finite_terms_and_the_input_files(capsys, tmp_path):
         assert "unif_unlabeled" not in message  # skipped: every distinct pair is at inf
 
 
+def _no_dense_kernel(*args, **kwargs):
+    raise AssertionError("a dense kernel was built")
+
+
 def test_loss_command_builds_its_kernel_from_the_class_table(capsys, tmp_path, monkeypatch):
     # The dense |A| x |A| kernel is never built; the total is the library's
-    # over the dense kernel all the same.
+    # over kernel_matrix's dense kernel all the same.
     rng = np.random.default_rng(8)
     x1, x2 = rng.normal(size=(9, 3)), rng.normal(size=(9, 3))
     packed = str(tmp_path / "views.emb")
@@ -587,18 +600,36 @@ def test_loss_command_builds_its_kernel_from_the_class_table(capsys, tmp_path, m
     meta = _write_metadata(tmp_path / "meta.csv", rows)
     summaries = summarize_batch(cio.read_metadata_csv(meta))
     summaries += [MetadataSummary.unlabeled(f"row-{i}") for i in range(len(summaries), 9)]
-    partition, kernel = batch_loss_inputs(summaries, variant_spec("proposed"))
-    expected = loss_decoupled(ViewPairBatch(x1, x2), partition, kernel)
-
-    def no_dense_kernel(*args, **kwargs):
-        raise AssertionError("loss built a dense kernel")
-
-    monkeypatch.setattr(metadata, "kernel_matrix", no_dense_kernel)
-    monkeypatch.setattr(bench, "kernel_matrix", no_dense_kernel)
+    partition = losses.partition_batch(summaries)
+    dense = metadata.kernel_matrix([summaries[i] for i in partition.labeled])
+    assert dense.weights.shape == (6, 6)
+    expected = loss_decoupled(ViewPairBatch(x1, x2), partition, dense)
+    monkeypatch.setattr(metadata, "kernel_matrix", _no_dense_kernel)
     code, stdout, _ = _run(capsys, ["loss", "--embeddings", packed, "--metadata", meta])
     assert code == 0
     payload = json.loads(stdout)
     assert payload["total"] == expected.total and payload["n_labeled"] == len(partition.labeled) == 6
+
+
+def test_no_command_and_no_study_cell_builds_a_dense_kernel(capsys, tmp_path, monkeypatch, metadata_csv):
+    # Every labeled kernel from metadata to the loss core is a class table;
+    # kernel_matrix is only the dense view that tests compare against.  It
+    # is patched wherever a module could have bound the name.
+    for module in (metadata, losses, bench):
+        monkeypatch.setattr(module, "kernel_matrix", _no_dense_kernel, raising=False)
+    cfg = bench.SynthConfig(n_exams=40, epochs=1, batch_size=8)
+    report = bench.run_study(cfg, seeds=[0])
+    assert [r.error for r in report.records] == [None] * len(bench.STUDY_VARIANTS)
+    rng = np.random.default_rng(6)
+    packed = str(tmp_path / "views.emb")
+    cio.write_embeddings(packed, rng.normal(size=(6, 3)), rng.normal(size=(6, 3)))
+    for variant in bench.STUDY_VARIANTS:
+        loss = ["loss", "--embeddings", packed, "--metadata", metadata_csv, "--variant", variant]
+        assert _run(capsys, loss)[0] == 0
+        assert _run(capsys, ["gradcheck", "--n", "5", "--d", "2", "--variant", variant])[0] == 0
+    for variant in ("proposed", "hc", "majority", "biopsy"):
+        kernel = ["kernel", "--metadata", metadata_csv, "--variant", variant, "--out", str(tmp_path / "k.csv")]
+        assert _run(capsys, kernel)[0] == 0
 
 
 def test_loss_requires_both_view_files(capsys, tmp_path):
@@ -864,6 +895,31 @@ def test_eval_detect_search_defaults_are_the_params_defaults():
     got = (args.t_start, args.t_min, args.step, args.max_candidates, args.min_voxels)
     assert got == dataclasses.astuple(DynamicThresholdParams())
     assert [type(v) for v in got] == [float, float, float, int, int]
+
+
+@pytest.mark.parametrize(
+    "flags, named",
+    [
+        (["--step", "-1", "--t-start", "7"], "--t-start"),
+        (["--min-voxels", "3"], "--min-voxels"),
+        (["--threshold", "0.4", "--t-min=nan"], "--t-min"),
+    ],
+)
+def test_eval_detect_refuses_a_search_flag_without_dynamic(capsys, tmp_path, flags, named):
+    missing = str(tmp_path / "missing.vol")  # refused before any file is read
+    code, stdout, stderr = _run(capsys, ["eval-detect", "--prob", missing, "--ref", missing, *flags])
+    assert (code, stdout) == (1, "")
+    err = json.loads(stderr)
+    assert err["error"] == "ValueError"
+    assert err["message"].startswith(named + " ") and "--dynamic" in err["message"]
+
+
+def test_eval_detect_takes_a_search_flag_at_its_default_without_dynamic(capsys, tmp_path):
+    vol, mask = _detection_fixture(tmp_path)
+    argv = ["eval-detect", "--prob", vol, "--ref", mask, "--step", "0.05", "--min-voxels", "10"]
+    code, stdout, _ = _run(capsys, argv)
+    assert code == 0
+    assert json.loads(stdout)["settings"]["threshold"] == 0.5
 
 
 def test_eval_detect_malformed_volume(capsys, tmp_path):

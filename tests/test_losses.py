@@ -690,9 +690,9 @@ def _block_cases():
         partition, kernel = bench.batch_loss_inputs(summaries, spec)
         assert len(partition.labeled) > 7 and len(partition.unlabeled) > 1
         args = dict(kind="decoupled", partition=partition, global_uniformity=spec.global_uniformity)
-        cases[f"decoupled-{variant}"] = (batch, dict(args, kernel=kernel))
-        labeled = [summaries[i] for i in partition.labeled]
-        cases[f"decoupled-{variant}-classes"] = (batch, dict(args, kernel=_class_kernel(labeled, spec.kernel)))
+        dense = kernel_matrix([summaries[i] for i in partition.labeled], spec.kernel)
+        cases[f"decoupled-{variant}"] = (batch, dict(args, kernel=dense))
+        cases[f"decoupled-{variant}-classes"] = (batch, dict(args, kernel=kernel))
     one_unlabeled = BatchPartition(tuple(range(n - 1)), (n - 1,))
     cases["one unlabeled row"] = (
         batch, dict(kind="decoupled", partition=one_unlabeled, kernel=_random_kernel(rng, n - 1))
@@ -778,6 +778,21 @@ def test_class_table_kernel_is_the_dense_kernel_bit_for_bit():
             assert loss_decoupled(batch, partition, table, glu) == loss_decoupled(batch, partition, dense, glu)
             got, want = (loss_gradient("decoupled", batch, partition, k, glu) for k in (table, dense))
             assert np.array_equal(got.g1, want.g1) and np.array_equal(got.g2, want.g2)
+
+
+def test_dense_kernel_is_the_table_of_one_exam_classes_bit_for_bit():
+    rng = np.random.default_rng(36)
+    n = 9
+    batch = _random_batch(rng, n=n + 3, dim=3)
+    partition = BatchPartition(tuple(range(n)), (n, n + 1, n + 2))
+    w = _random_kernel(rng, n).weights
+    dense, table = KernelMatrix(w), KernelMatrix(w, np.arange(n))
+    assert dense.n == table.n == n
+    assert dense.classes.dtype == table.classes.dtype and np.array_equal(dense.classes, table.classes)
+    for glu in (False, True):
+        assert loss_decoupled(batch, partition, dense, glu) == loss_decoupled(batch, partition, table, glu)
+        got, want = (loss_gradient("decoupled", batch, partition, k, glu) for k in (dense, table))
+        assert np.array_equal(got.g1, want.g1) and np.array_equal(got.g2, want.g2)
 
 
 def test_class_table_kernel_validation():
