@@ -3,15 +3,17 @@
 A probability volume is thresholded by a descending search (a fixed t is
 the search that starts and stops at t) and each mask is labeled once into
 label arrays: its foreground voxel indices and the component of each
-voxel.  Components become candidates scored by their peak probability,
-and candidates match reference lesions greedily by descending
-probability under a strict IoU criterion, with every intersection read
-from a sparse candidate x reference contingency table.  Exam and lesion
-level ROC AUC plus a dataset-pooled average precision follow the matched
-outcomes; missed references enter the lesion pool as zero-score
-positives.  Only the public adapters that return ``Component`` objects
-build voxel sets.  ``ProbVolume`` and ``BinaryMask`` come from
-``confcl.io``, which checks each once, when built or read.
+voxel.  Labeling runs on each run of occupied z slices, cropped to its
+(y, x) box, so a sparse mask costs its boxes, not its grid.  Components
+become candidates scored by their peak probability, and candidates match
+reference lesions greedily by descending probability under a strict IoU
+criterion, with every intersection read from a sparse candidate x
+reference contingency table.  Exam and lesion level ROC AUC plus a
+dataset-pooled average precision follow the matched outcomes; missed
+references enter the lesion pool as zero-score positives.  Only the public
+adapters that return ``Component`` objects build voxel sets.
+``ProbVolume`` and ``BinaryMask`` come from ``confcl.io``, which checks
+each once, when built or read.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -172,23 +174,54 @@ class _Labels(NamedTuple):
     n: int
 
 
-def _label(mask_data: np.ndarray, connectivity: int) -> _Labels:
-    """Label once, then order the components on their foreground voxels.
+def _slabs(zyx: np.ndarray) -> Iterator[tuple[int, int, int, np.ndarray]]:
+    """(z0, y0, x0, box) per run of consecutive occupied z slices of a
+    (Z, Y, X) mask, in z order: the run cropped to its (y, x) bounding box.
+    A mask that fills every slice and its whole plane is one uncropped box."""
+    nz, ny, nx = zyx.shape
+    z0 = 0
+    for occupied, run in itertools.groupby(zyx.reshape(nz, ny * nx).any(axis=1).tolist()):
+        z1 = z0 + len(list(run))
+        if occupied:
+            plane = zyx[z0:z1].any(axis=0)
+            ys = plane.any(axis=1).nonzero()[0]
+            xs = plane[ys[0] : ys[-1] + 1].any(axis=0).nonzero()[0]
+            y0, x0 = int(ys[0]), int(xs[0])
+            yield z0, y0, x0, zyx[z0:z1, y0 : ys[-1] + 1, x0 : xs[-1] + 1]
+        z0 = z1
 
-    Labeling the (Z, Y, X) view gives C-ordered labels that ravel x
-    fastest; every neighborhood structure is symmetric under transposing.
+
+def _label(mask_data: np.ndarray, connectivity: int) -> _Labels:
+    """Label each occupied slab, then order the components on their
+    foreground voxels.
+
+    No 6, 18 or 26 neighborhood reaches across an empty z slice, so
+    labeling each run of occupied slices, cropped to its (y, x) box, finds
+    the components of the whole grid at a cost that follows the boxes, not
+    the grid.  Labeling the (Z, Y, X) view gives C-ordered labels that ravel
+    x fastest; every neighborhood structure is symmetric under transposing.
+    Each box's foreground in (z, y, x) order, boxes in z order, is the
+    mask's foreground in flat index order.
     """
     if connectivity not in CONNECTIVITIES:
         raise ValueError(f"connectivity must be one of {CONNECTIVITIES}, got {connectivity}")
     from scipy import ndimage  # here, not at import: the CLI starts without scipy
 
     structure = ndimage.generate_binary_structure(3, CONNECTIVITIES.index(connectivity) + 1)
-    labeled, n = ndimage.label(mask_data.T, structure)
-    nx, ny, _ = mask_data.shape
-    flat = labeled.ravel()
-    index = np.flatnonzero(mask_data.T)  # labels are non-zero exactly on the mask
-    raw = flat[index] - 1
-    first, min_y, min_x = (np.full(n, flat.size) for _ in range(3))
+    zyx = mask_data.T
+    _, ny, nx = zyx.shape
+    indexes, raws, n = [np.empty(0, np.intp)], [np.empty(0, np.intp)], 0
+    for z0, y0, x0, box in _slabs(zyx):
+        labeled, k = ndimage.label(box, structure)
+        index = np.flatnonzero(box)  # labels are non-zero exactly on the mask
+        raws.append(labeled.ravel()[index] + (n - 1))
+        if box.shape != zyx.shape:  # box coordinates to grid indices
+            _, by, bx = box.shape
+            index = ((index // (by * bx) + z0) * ny + index // bx % by + y0) * nx + index % bx + x0
+        indexes.append(index)
+        n += k
+    index, raw = (np.concatenate(parts) for parts in (indexes, raws))
+    first, min_y, min_x = (np.full(n, zyx.size) for _ in range(3))
     np.minimum.at(first, raw, index)  # smallest voxel in (z, y, x) order
     np.minimum.at(min_y, raw, index // nx % ny)
     np.minimum.at(min_x, raw, index % nx)

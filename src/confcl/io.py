@@ -62,6 +62,8 @@ METADATA_HEADER = ["exam_id", "source", "value"]
 
 # Cells per block of rows in write_matrix_csv.
 _CSV_BLOCK_CELLS = 2**15
+# Bytes atomic_write buffers before handing them to the OS in one write.
+_WRITE_BUFFER = 2**20
 
 
 class FileFormatError(ValueError):
@@ -79,7 +81,9 @@ class FileFormatError(ValueError):
 def atomic_write(path: str, binary: bool = False):
     """Write to a same-directory temp file made with mode 0666 (so the umask
     applies as for open()), then rename it over the target; an OSError from
-    making or renaming the temp file names the target instead."""
+    making or renaming the temp file names the target instead.  Writes go
+    to the OS in chunks of _WRITE_BUFFER bytes, so a writer may hand over
+    many small pieces."""
     directory = os.path.dirname(os.path.abspath(path))
     tmp = os.path.join(directory, ".tmp-confcl-" + os.urandom(8).hex())
     try:
@@ -87,7 +91,7 @@ def atomic_write(path: str, binary: bool = False):
     except OSError as exc:
         raise type(exc)(exc.errno, exc.strerror, path) from None
     try:
-        with os.fdopen(fd, "wb" if binary else "w", **({} if binary else {"newline": "\n"})) as handle:
+        with os.fdopen(fd, "wb" if binary else "w", _WRITE_BUFFER, newline=None if binary else "\n") as handle:
             yield handle
         try:
             os.replace(tmp, path)

@@ -426,6 +426,122 @@ def test_label_is_the_same_for_every_memory_layout(connectivity):
         assert np.array_equal(got.label, want.label)
 
 
+def _assert_whole_grid_labels(data, connectivity):
+    """_label's components against the flood fill's, and its arrays against
+    one ndimage.label over the whole grid: the same foreground in flat
+    order, the same count, and the same partition."""
+    from scipy import ndimage
+
+    labels = detection._label(data, connectivity)
+    want = _flood_fill(data, connectivity)
+    assert [c.voxels for c in connected_components(BinaryMask(data), connectivity)] == want
+    structure = ndimage.generate_binary_structure(3, (6, 18, 26).index(connectivity) + 1)
+    whole, n = ndimage.label(data.T, structure)
+    assert labels.n == n == len(want)
+    assert labels.index.dtype == labels.label.dtype == np.intp
+    assert np.array_equal(labels.index, np.flatnonzero(data.T))
+    pairs = np.unique(np.stack([labels.label, whole.ravel()[labels.index]]), axis=1)
+    assert pairs.shape[1] == n  # one whole-grid label per component, and back
+    return labels
+
+
+def _slab_case(name):
+    """An (X, Y, Z) mask for one slab edge case."""
+    data = np.zeros((6, 5, 9), dtype=bool)
+    if name == "one voxel":
+        data[2, 3, 4] = True
+    elif name == "full":
+        data[:] = True
+    elif name == "touches first and last slice":
+        data[1:3, 1:3, 0:2] = True
+        data[3, 4, 8] = True
+    elif name == "one empty slice between runs":
+        data[1:4, 1:3, 2:4] = True
+        data[1:4, 1:3, 5] = True  # z = 4 is empty: no neighborhood bridges it
+    elif name == "two empty slices between runs":
+        data[0, 0, 1] = True
+        data[5, 4, 4:6] = True
+    elif name == "touches the box edges":
+        data[0, 1:5, 3] = True  # the box's x minimum, y from 1 to its maximum
+        data[:, 1, 3] = True  # the box's y minimum, x minimum to maximum: joins the first
+        data[4, 3, 3:5] = True  # x = 4 < 5: inside, off the edges
+        data[5, 4, 4] = True  # the box's corner, diagonal to (4, 3, 3) and (4, 3, 4)
+    elif name == "diagonal across slices":
+        data[1, 1, 3] = True
+        data[2, 2, 4] = True  # a corner neighbor: joined only at 26
+        data[4, 1, 6] = True
+        data[4, 2, 7] = True  # an edge neighbor: joined at 18 and 26
+    return data
+
+
+# Each case's component count at 6, 18 and 26 connectivity.
+SLAB_CASES = {
+    "empty": (0, 0, 0),
+    "one voxel": (1, 1, 1),
+    "full": (1, 1, 1),
+    "touches first and last slice": (2, 2, 2),
+    "one empty slice between runs": (2, 2, 2),
+    "two empty slices between runs": (2, 2, 2),
+    "touches the box edges": (3, 2, 2),
+    "diagonal across slices": (4, 3, 2),
+}
+
+
+@pytest.mark.parametrize("connectivity", [6, 18, 26])
+@pytest.mark.parametrize("name", SLAB_CASES)
+def test_slab_labels_match_the_whole_grid(name, connectivity):
+    labels = _assert_whole_grid_labels(_slab_case(name), connectivity)
+    assert labels.n == SLAB_CASES[name][(6, 18, 26).index(connectivity)]
+
+
+def test_slab_labels_match_the_whole_grid_with_random_empty_slices():
+    rng = np.random.default_rng(41)
+    cropped = several = 0
+    for _ in range(40):
+        dims = tuple(int(rng.integers(1, 9)) for _ in range(2)) + (int(rng.integers(2, 13)),)
+        data = rng.uniform(0, 1, dims) < rng.uniform(0.1, 0.5)
+        data[:, :, rng.uniform(0, 1, dims[2]) < 0.4] = False
+        boxes = [box.shape for *_, box in detection._slabs(data.T)]
+        cropped += bool(boxes) and boxes != [data.T.shape]
+        several += len(boxes) > 1
+        for connectivity in (6, 18, 26):
+            _assert_whole_grid_labels(data, connectivity)
+    assert cropped >= 30 and several >= 10  # the crop path, and more than one slab
+
+
+def _recorded_label_shapes(monkeypatch):
+    from scipy import ndimage
+
+    shapes, label = [], ndimage.label
+
+    def recorded(box, structure):
+        shapes.append(box.shape)
+        return label(box, structure)
+
+    monkeypatch.setattr(ndimage, "label", recorded)
+    return shapes
+
+
+def test_label_runs_once_per_slab_on_its_box(monkeypatch):
+    shapes = _recorded_label_shapes(monkeypatch)
+    data = np.zeros((20, 16, 10), dtype=bool)
+    data[2:5, 3:9, 1:3] = True  # z 1-2, y 3-8, x 2-4
+    data[11:18, 10:12, 6:10] = True  # z 6-9, y 10-11, x 11-17
+    labels = detection._label(data, 26)
+    assert labels.n == 2
+    assert shapes == [(2, 6, 3), (4, 2, 7)]
+
+
+def test_label_runs_once_on_the_whole_grid_when_every_slice_is_full(monkeypatch):
+    shapes = _recorded_label_shapes(monkeypatch)
+    data = np.zeros((7, 6, 5), dtype=bool)
+    data[0, 0, :] = True  # every slice occupied, and the box's (0, 0) corner
+    data[6, 5, 2] = True  # its (X - 1, Y - 1) corner
+    labels = detection._label(data, 6)
+    assert labels.n == 2
+    assert shapes == [(5, 6, 7)]
+
+
 # ---------------------------------------------------------------------------
 # Candidates and matching
 # ---------------------------------------------------------------------------
