@@ -8,6 +8,10 @@ volume/mask pairs), and ``simulate`` (the synthetic variant study).
 Exit codes: 0 success, 1 malformed input or a failed check (with an
 error JSON on stderr), 2 usage errors.  File outputs are written
 atomically; stdout JSON is deterministic for fixed inputs.
+
+``main(argv)`` may be called repeatedly in one process: it returns the
+exit code, raises ``SystemExit(2)`` on a usage error, and builds its
+parser once, on the first call.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import errno
+import functools
 import json
 import os
 import sys
@@ -49,7 +54,7 @@ def _parse_overrides(args: argparse.Namespace) -> dict[str, float]:
     --epsilon checked against the (0, 1] rule before any file is read."""
     metadata.check_epsilon(args.epsilon, "--epsilon")
     overrides: dict[str, float] = {}
-    for entry in args.epsilon_override:
+    for entry in args.epsilon_override or ():
         exam_id, sep, value = entry.partition("=")
         if not sep or not exam_id:
             raise ValueError(f"bad --epsilon-override {entry!r}; expected EXAM_ID=VALUE")
@@ -421,7 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--epsilon-override",
             action="append",
-            default=[],
+            default=None,
             metavar="EXAM_ID=VALUE",
             help="per-exam single-vote confidence override (repeatable)",
         )
@@ -489,9 +494,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# main's parser: build_parser itself returns a fresh one for callers to extend.
+_parser = functools.cache(build_parser)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         _check_paths(args)
         return args.func(args)

@@ -422,10 +422,11 @@ def read_json(path: str):
 
 
 def write_json_atomic(path: str, payload: dict) -> None:
-    """Strict JSON: a NaN or infinity raises ValueError and leaves no file."""
+    """Strict JSON, encoded whole before the temp file is made: a NaN or
+    infinity raises ValueError and leaves no file."""
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
     with atomic_write(path) as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True, allow_nan=False)
-        handle.write("\n")
+        handle.write(text)
 
 
 def write_csv_table(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> None:

@@ -1,5 +1,6 @@
 """Command line tests; every command runs in process through main()."""
 
+import argparse
 import dataclasses
 import json
 import os
@@ -9,7 +10,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from confcl import bench, io as cio, losses, metadata
+from confcl import bench, cli, io as cio, losses, metadata
 from confcl.bench import batch_loss_inputs, variant_spec
 from confcl.cli import _random_summaries, build_parser, main
 from confcl.detection import DynamicThresholdParams
@@ -1374,3 +1375,96 @@ def test_bad_choice_exits_2(capsys, tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["eval-detect", "--prob", vol, "--ref", mask, "--connectivity", "7"])
     assert exc.value.code == 2
+
+
+# ---------------------------------------------------------------------------
+# one parser per process
+
+
+def _outcome(capsys, argv, out):
+    """(exit code, stdout, stderr, bytes of out or None) of one main call,
+    removing out; a usage error's SystemExit code stands in for the return
+    code."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = ("SystemExit", exc.code)
+    captured = capsys.readouterr()
+    written = out.read_bytes() if out.exists() else None
+    out.unlink(missing_ok=True)
+    return code, captured.out, captured.err, written
+
+
+def test_repeated_main_calls_match_each_command_run_alone(capsys, tmp_path, metadata_csv):
+    rng = np.random.default_rng(0)
+    x1 = rng.normal(0.0, 1.0, (4, 3))
+    emb = str(tmp_path / "views.emb")
+    cio.write_embeddings(emb, x1, x1 + rng.normal(0.0, 0.1, x1.shape))
+    vol, mask = _detection_fixture(tmp_path)
+    kernel_out, loss_out, detect_out = tmp_path / "kernel.csv", tmp_path / "loss.json", tmp_path / "detect.json"
+    kernel = ["kernel", "--metadata", metadata_csv, "--out", str(kernel_out)]
+    loss = ["loss", "--embeddings", emb, "--metadata", metadata_csv, "--out", str(loss_out)]
+    override = ["--epsilon-override", "b=0.2"]  # b is a lone vote, so it moves the a-b weight
+    calls = [
+        (kernel + override, kernel_out),
+        (loss, loss_out),
+        (["kernel", "--metadata", metadata_csv], kernel_out),  # a usage error: no --out
+        (["eval-detect", "--prob", vol, "--ref", mask, "--dynamic", "--out", str(detect_out)], detect_out),
+        (kernel, kernel_out),
+        (loss + override, loss_out),
+        (["eval-detect", "--prob", vol, "--ref", mask, "--threshold", "0.8", "--out", str(detect_out)], detect_out),
+        (kernel + override, kernel_out),
+    ]
+    alone = []
+    for argv, out in calls:
+        cli._parser.cache_clear()
+        alone.append(_outcome(capsys, argv, out))
+    cli._parser.cache_clear()
+    assert [_outcome(capsys, argv, out) for argv, out in calls] == alone
+    assert [o[0] for o in alone] == [0, 0, ("SystemExit", 2), 0, 0, 0, 0, 0]
+    assert alone[0] == alone[7] and alone[0][3] != alone[4][3] and alone[1][3] != alone[5][3]
+
+
+def test_main_builds_its_parser_once(monkeypatch):
+    made = []
+    real_add_argument = argparse._ActionsContainer.add_argument
+
+    def counting_add_argument(self, *args, **kwargs):
+        made.append(args)
+        return real_add_argument(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse._ActionsContainer, "add_argument", counting_add_argument)
+    cli._parser.cache_clear()
+    assert main(["gradcheck", "--n", "3", "--d", "2"]) == 0
+    first = len(made)
+    assert main(["gradcheck", "--n", "3", "--d", "2", "--seed", "1"]) == 0
+    assert first > 0
+    assert len(made) == first
+
+
+def test_help_wraps_to_the_columns_at_each_call(monkeypatch, capsys):
+    description = "Confidence-weighted conditional contrastive losses and their evaluation tools."
+    helps = {}
+    for columns in ("40", "120"):
+        monkeypatch.setenv("COLUMNS", columns)
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        helps[columns] = capsys.readouterr().out
+        assert helps[columns] == build_parser().format_help()
+    assert description not in helps["40"].splitlines()
+    assert description in helps["120"].splitlines()
+
+
+def test_no_parser_default_is_a_mutable_container():
+    shared = []
+    parsers = [build_parser()]
+    for parser in parsers:
+        for action in parser._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                parsers.extend(action.choices.values())
+            elif isinstance(action.default, (list, dict, set)):
+                shared.append((parser.prog, action.dest))
+        shared += [(parser.prog, dest) for dest, v in parser._defaults.items() if isinstance(v, (list, dict, set))]
+    assert len(parsers) == 6
+    assert shared == []

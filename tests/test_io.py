@@ -747,6 +747,35 @@ def test_json_report_bytes_are_order_independent(tmp_path):
     assert json.load(open(a)) == {"x": 1, "y": [1, 2], "z": {"k": 0.5}}
 
 
+def test_json_report_bytes_are_the_indented_sorted_encoding(tmp_path):
+    payload = {
+        "zeta": [0.1, 1e-300, -2.5e17, 3, None, True],
+        "alpha": {"b": {}, "a": [], "c": [{"y": 0.30000000000000004, "x": "Gleason ≥ 7, naïve"}]},
+        "ünïcode": "PI-RADS – 5",
+        "empty": "",
+    }
+    path = tmp_path / "r.json"
+    write_json_atomic(str(path), payload)
+    want = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    assert path.read_bytes() == want.encode("utf-8")
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_json_report_refuses_a_non_finite_value_before_making_a_file(tmp_path, monkeypatch, bad):
+    opened = []
+    real_open = os.open
+
+    def counting_open(*args, **kwargs):
+        opened.append(args[0])
+        return real_open(*args, **kwargs)
+
+    monkeypatch.setattr(os, "open", counting_open)
+    with pytest.raises(ValueError):
+        write_json_atomic(str(tmp_path / "r.json"), {"metrics": {"auc": 0.5, "map": [1.0, bad]}})
+    assert opened == []
+    assert os.listdir(tmp_path) == []
+
+
 def test_metrics_csv_serializes_missing_values_as_empty(tmp_path):
     path = str(tmp_path / "m.csv")
     write_csv_table(path, ("metric", "value", "n"), [("auc", 0.75, 10), ("map", None, 0)])
