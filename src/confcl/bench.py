@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
-from typing import NamedTuple
+from dataclasses import asdict, dataclass, field, is_dataclass
+from typing import NamedTuple, get_type_hints
 
 import numpy as np
 
@@ -127,6 +127,8 @@ class SynthConfig:
 
     def __post_init__(self) -> None:
         check_field_types(self)
+        if not isinstance(self.annotator, AnnotatorParams):
+            raise ValueError(f"annotator must be an AnnotatorParams, got {self.annotator!r}")
         for name in ("input_dim", "hidden_dim", "embed_dim", "batch_size"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
@@ -151,26 +153,22 @@ def default_config() -> SynthConfig:
     return SynthConfig()
 
 
-def _require_object(value, name: str) -> None:
-    if not isinstance(value, dict):
-        raise ValueError(f"{name} must be a JSON object, got {type(value).__name__}")
+def _settings_from_dict(cls, raw, name: str):
+    """cls from the JSON object raw, called name in errors, with no unknown key;
+    a field declared as a settings dataclass is read from its own object alike."""
+    if not isinstance(raw, dict):
+        raise ValueError(f"{name} must be a JSON object, got {type(raw).__name__}")
+    unknown = set(raw) - set(cls.__dataclass_fields__)
+    if unknown:
+        raise ValueError(f"unknown {name} fields: {sorted(unknown)}")
+    types = get_type_hints(cls)
+    nested = {k: _settings_from_dict(types[k], v, k) for k, v in raw.items() if is_dataclass(types[k])}
+    return cls(**{**raw, **nested})
 
 
 def config_from_dict(raw: dict) -> SynthConfig:
-    _require_object(raw, "config")
-    data = dict(raw)
-    annotator = data.pop("annotator", None)
-    known = set(SynthConfig.__dataclass_fields__) - {"annotator"}
-    unknown = set(data) - known
-    if unknown:
-        raise ValueError(f"unknown config fields: {sorted(unknown)}")
-    if annotator is not None:
-        _require_object(annotator, "annotator")
-        extra = set(annotator) - set(AnnotatorParams.__dataclass_fields__)
-        if extra:
-            raise ValueError(f"unknown annotator fields: {sorted(extra)}")
-        data["annotator"] = AnnotatorParams(**annotator)
-    return SynthConfig(**data)
+    """The SynthConfig a JSON object states; unknown keys and non-objects are ValueErrors."""
+    return _settings_from_dict(SynthConfig, raw, "config")
 
 
 class SynthDataset(NamedTuple):

@@ -1,10 +1,10 @@
 """File formats: annotation CSVs, embedding pairs, volumes, masks, reports.
 
 Binary formats carry a 4-byte magic plus little-endian dimension header;
-text formats are UTF-8 with LF newlines and comma separators, and a
-text reader reports a byte that is not UTF-8 as a FileFormatError
-naming the file and its line.  The annotation CSV reader checks,
-binarizes and groups rows in one pass.  Numeric CSV cells use 17
+text formats are UTF-8 whatever the locale, with LF newlines and comma
+separators, and a text reader reports a byte that is not UTF-8 as a
+FileFormatError naming the file and its line.  The annotation CSV reader
+checks, binarizes and groups rows in one pass.  Numeric CSV cells use 17
 significant digits so 64-bit values round-trip exactly; the matrix
 writer formats each block of rows from its distinct values, and the
 kernel writer joins its K class rows once, in memory linear in N.
@@ -81,17 +81,18 @@ class FileFormatError(ValueError):
 def atomic_write(path: str, binary: bool = False):
     """Write to a same-directory temp file made with mode 0666 (so the umask
     applies as for open()), then rename it over the target; an OSError from
-    making or renaming the temp file names the target instead.  Writes go
-    to the OS in chunks of _WRITE_BUFFER bytes, so a writer may hand over
-    many small pieces."""
+    making or renaming the temp file names the target instead.  Text is UTF-8
+    with LF newlines whatever the locale.  Writes reach the OS in chunks of
+    _WRITE_BUFFER bytes, so a writer may hand over many small pieces."""
     directory = os.path.dirname(os.path.abspath(path))
     tmp = os.path.join(directory, ".tmp-confcl-" + os.urandom(8).hex())
     try:
         fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     except OSError as exc:
         raise type(exc)(exc.errno, exc.strerror, path) from None
+    text = {} if binary else {"encoding": "utf-8", "newline": "\n"}
     try:
-        with os.fdopen(fd, "wb" if binary else "w", _WRITE_BUFFER, newline=None if binary else "\n") as handle:
+        with os.fdopen(fd, "wb" if binary else "w", _WRITE_BUFFER, **text) as handle:
             yield handle
         try:
             os.replace(tmp, path)

@@ -95,6 +95,7 @@ def test_config_from_dict_rejects_unknown_fields():
         ([1, 2], "config must be a JSON object, got list"),
         ({"annotator": 5}, "annotator must be a JSON object, got int"),
         ({"annotator": [1]}, "annotator must be a JSON object, got list"),
+        ({"annotator": None}, "annotator must be a JSON object, got NoneType"),
     ],
 )
 def test_config_from_dict_wants_json_objects(raw, message):
@@ -160,8 +161,13 @@ def test_float_fields_reject_bools_strings_and_non_finite_values(make, name, bad
 
 
 # Two wrong values per declared type; AnnotatorParams is SynthConfig.annotator's type.
-_WRONG_VALUES = {"int": (True, 2.0), "float": (True, "0.5"), "bool": (1, "no"), "AnnotatorParams": ()}
-_NOUNS = {"int": "an integer", "float": "a number", "bool": "a bool"}
+_WRONG_VALUES = {
+    "int": (True, 2.0),
+    "float": (True, "0.5"),
+    "bool": (1, "no"),
+    "AnnotatorParams": (None, {"n_min": 1}),
+}
+_NOUNS = {"int": "an integer", "float": "a number", "bool": "a bool", "AnnotatorParams": "an AnnotatorParams"}
 
 
 @pytest.mark.parametrize(

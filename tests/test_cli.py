@@ -1267,6 +1267,7 @@ def test_simulate_refuses_an_output_on_its_config(capsys, tmp_path, monkeypatch,
         "[1,2]",
         '{"annotator": 5}',
         '{"annotator": [1]}',
+        '{"annotator": null}',
     ],
 )
 def test_simulate_rejects_a_bad_config_value(capsys, tmp_path, body):

@@ -7,6 +7,8 @@ layouts are verified against independently struct-packed byte strings.
 import json
 import os
 import struct
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -147,6 +149,38 @@ def test_metadata_errors_name_the_physical_line_after_a_multiline_field(tmp_path
     with pytest.raises(FileFormatError, match="exam 'q'") as info:
         read_metadata_csv(str(path))
     assert (info.value.file, info.value.line) == (str(path), 5)
+
+
+def test_metadata_rows_are_utf8_whatever_the_locale(tmp_path):
+    # Under the C locale without UTF-8 mode, open()'s default codec is ASCII.
+    path = tmp_path / "meta.csv"
+    script = (
+        "import sys\n"
+        "from confcl import io, metadata\n"
+        "row = metadata.RawAnnotation('exam-\\xe9', metadata.Source.PIRADS, 4)\n"
+        "io.write_metadata_rows(sys.argv[1], [row])\n"
+        "assert io.read_metadata_csv(sys.argv[1])[0].exam_id == 'exam-\\xe9'\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cio.__file__)))
+    path_var = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = {**os.environ, "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0", "PYTHONPATH": path_var}
+    subprocess.run([sys.executable, "-c", script, str(path)], env=env, check=True)
+    assert path.read_bytes() == "exam_id,source,value\nexam-\xe9,pirads,4\n".encode("utf-8")
+
+
+@pytest.mark.parametrize("blank", ["\n", "\r\n", "\n\n\n"])
+def test_read_metadata_csv_skips_blank_lines_but_counts_them(tmp_path, blank):
+    rows = ["exam_id,source,value", "b,pirads,4", "a,isup,0", "b,pirads,1"]
+    plain = tmp_path / "plain.csv"
+    plain.write_text("\n".join(rows) + "\n")
+    spaced = tmp_path / "spaced.csv"
+    spaced.write_bytes((rows[0] + "\n" + "".join(row + "\n" + blank for row in rows[1:])).encode())
+    assert read_metadata_csv(str(spaced)) == read_metadata_csv(str(plain))
+    # Each good row is followed by the blank lines, and then comes q's row.
+    spaced.write_bytes(spaced.read_bytes() + b"q,pirads,9\n")
+    with pytest.raises(FileFormatError, match="exam 'q'") as info:
+        read_metadata_csv(str(spaced))
+    assert (info.value.file, info.value.line) == (str(spaced), 5 + 3 * blank.count("\n"))
 
 
 def test_read_metadata_csv_keeps_first_appearance_order(tmp_path):

@@ -527,6 +527,15 @@ def test_gradient_single_aligned_pair_is_bounded_and_finite():
     assert np.abs(g.g1).max() <= 1.0 and np.abs(g.g2).max() <= 1.0
 
 
+@pytest.mark.parametrize("h", [0.0, -1e-5, math.inf, math.nan])
+def test_central_difference_refuses_a_step_that_is_not_finite_and_positive(h):
+    calls = []
+    with pytest.raises(ValueError) as info:
+        central_difference(lambda a, b: calls.append(1) or 0.0, np.ones((2, 3)), np.ones((2, 3)), h=h)
+    assert str(info.value).endswith(f"step h must be finite and > 0, got {h!r}")
+    assert calls == []
+
+
 def test_central_difference_recovers_quadratic_derivative():
     x1 = np.array([[1.0, -2.0]])
     x2 = np.array([[0.5, 3.0]])
