@@ -28,8 +28,8 @@ from .losses import (
     _evaluate,
     _gradient,
     _total,
+    batch_inputs,
     pairwise_distances,
-    partition_batch,
 )
 from .metadata import (
     DEFAULT_EPSILON,
@@ -39,8 +39,9 @@ from .metadata import (
     Source,
     check_epsilon,
     check_field_types,
-    kernel_classes,
-    summarize,
+    summarize_votes,
+    summary_columns,
+    vote_columns,
 )
 
 __all__ = [
@@ -363,14 +364,8 @@ def variant_spec(name: str) -> VariantSpec:
 
 
 def batch_loss_inputs(summaries, spec: VariantSpec) -> tuple[BatchPartition, KernelMatrix | None]:
-    """Partition a batch's summaries, and the labeled rows' kernel as
-    kernel_classes' class table (n = 0 when no row is labeled); the kernel
-    is None only for a variant that ignores metadata."""
-    if spec.kernel is None:
-        return BatchPartition((), tuple(range(len(summaries)))), None
-    partition = partition_batch(summaries, spec.kernel)
-    classes, table = kernel_classes([summaries[i] for i in partition.labeled], spec.kernel)
-    return partition, KernelMatrix(table, classes)
+    """losses.batch_inputs of a batch's MetadataSummary list for the variant."""
+    return batch_inputs(*summary_columns(summaries), spec.kernel)
 
 
 class StudyCell(NamedTuple):
@@ -397,8 +392,8 @@ class StudyCell(NamedTuple):
 def study_cell(config: SynthConfig, dataset: SynthDataset, variant: str) -> StudyCell:
     """The cell of variant, summarized with config.epsilon and its trusted source."""
     spec = variant_spec(variant)
-    summaries = [summarize(a, config.epsilon, spec.trusted) for a in dataset.annotations]
-    partition, kernel = batch_loss_inputs(summaries, spec)
+    summaries = summarize_votes(vote_columns(dataset.annotations), config.epsilon, spec.trusted)
+    partition, kernel = batch_inputs(*summaries, spec.kernel)
     exam_class = np.full(len(dataset.labels), -1)
     if kernel is None:
         return StudyCell(dataset, spec, exam_class, None)

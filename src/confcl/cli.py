@@ -70,24 +70,18 @@ def _parse_overrides(args: argparse.Namespace) -> dict[str, float]:
 
 def _read_summaries(
     args: argparse.Namespace, overrides: dict[str, float]
-) -> list[metadata.MetadataSummary]:
-    """The --metadata CSV's exams, in first-appearance order, each summarized
-    with its --epsilon-override, else with --epsilon and the trusted source:
-    --biopsy-source, else the variant's.  An override of an exam the CSV
-    lacks is an error."""
-    vectors = cio.read_metadata_csv(args.metadata)
-    exam_ids = {vec.exam_id for vec in vectors}
+) -> tuple[list[str], tuple[np.ndarray, np.ndarray]]:
+    """The --metadata CSV's exam ids, in first-appearance order, and their
+    (label, confidence) columns: each exam with its --epsilon-override, else
+    with --epsilon and the trusted source: --biopsy-source, else the
+    variant's.  An override of an exam the CSV lacks is an error."""
+    votes = cio.read_metadata_columns(args.metadata)
     for exam_id in overrides:
-        if exam_id not in exam_ids:
+        if exam_id not in votes.exam_ids:
             raise cio.FileFormatError(f"no exam {exam_id!r}, which --epsilon-override names", args.metadata)
     source = args.biopsy_source
     trusted = bench.variant_spec(args.variant).trusted if source is None else metadata.Source(source)
-    return [
-        metadata.summarize(vec, overrides[vec.exam_id])
-        if vec.exam_id in overrides
-        else metadata.summarize(vec, args.epsilon, trusted)
-        for vec in vectors
-    ]
+    return votes.exam_ids, metadata.summarize_votes(votes, args.epsilon, trusted, overrides)
 
 
 def _given(args: argparse.Namespace, flags: tuple[str, ...]) -> list[tuple[str, str]]:
@@ -123,15 +117,15 @@ def _check_paths(args: argparse.Namespace) -> None:
 
 
 def _cmd_kernel(args: argparse.Namespace) -> int:
-    summaries = _read_summaries(args, _parse_overrides(args))
-    partition, kernel = bench.batch_loss_inputs(summaries, bench.variant_spec(args.variant))
+    exam_ids, summaries = _read_summaries(args, _parse_overrides(args))
+    partition, kernel = losses.batch_inputs(*summaries, bench.variant_spec(args.variant).kernel)
     cio.write_kernel_csv(args.out, kernel.classes, kernel.weights)
     _print_json(
         {
             "variant": args.variant,
             "epsilon": args.epsilon,
-            "labeled": [summaries[i].exam_id for i in partition.labeled],
-            "unlabeled": [summaries[i].exam_id for i in partition.unlabeled],
+            "labeled": [exam_ids[i] for i in partition.labeled],
+            "unlabeled": [exam_ids[i] for i in partition.unlabeled],
             "shape": [kernel.n] * 2,
             "out": args.out,
         },
@@ -184,15 +178,15 @@ def _cmd_loss(args: argparse.Namespace) -> int:
     # Metadata rows map onto batch rows by first appearance order; rows
     # past the last annotated exam (all of them without --metadata) are
     # unlabeled.
-    summaries = _read_summaries(args, overrides) if args.metadata is not None else []
-    if len(summaries) > batch.n:
-        raise cio.FileFormatError(
-            f"{len(summaries)} exams but the batch has only {batch.n} rows", args.metadata
-        )
-    summaries += [
-        metadata.MetadataSummary.unlabeled(f"row-{i}") for i in range(len(summaries), batch.n)
-    ]
-    partition, kernel = bench.batch_loss_inputs(summaries, spec)
+    label, conf = np.full(batch.n, -1), np.zeros(batch.n)
+    if args.metadata is not None:
+        exam_ids, (labels, confs) = _read_summaries(args, overrides)
+        if len(exam_ids) > batch.n:
+            raise cio.FileFormatError(
+                f"{len(exam_ids)} exams but the batch has only {batch.n} rows", args.metadata
+            )
+        label[: len(exam_ids)], conf[: len(exam_ids)] = labels, confs
+    partition, kernel = losses.batch_inputs(label, conf, spec.kernel)
     breakdown = losses.loss_decoupled(batch, partition, kernel, spec.global_uniformity)
     payload = breakdown.as_dict()
     names = sorted(breakdown.present) + ["total"]

@@ -4,7 +4,8 @@ Binary formats carry a 4-byte magic plus little-endian dimension header;
 text formats are UTF-8 whatever the locale, with LF newlines and comma
 separators, and a text reader reports a byte that is not UTF-8 as a
 FileFormatError naming the file and its line.  The annotation CSV reader
-checks, binarizes and groups rows in one pass.  Numeric CSV cells use 17
+checks and binarizes each row as it reads it and returns the votes as
+columns (``metadata.VoteColumns``).  Numeric CSV cells use 17
 significant digits so 64-bit values round-trip exactly; the matrix
 writer formats each block of rows from its distinct values, and the
 kernel writer joins its K class rows once, in memory linear in N.
@@ -30,13 +31,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .losses import ViewPairBatch
-from .metadata import AnnotationError, AnnotationVector, RawAnnotation, Source, binarize
+from .metadata import SOURCES, AnnotationError, AnnotationVector, RawAnnotation, Source, VoteColumns, binarize
 
 __all__ = [
     "FileFormatError",
     "atomic_write",
     "fmt_float",
     "write_metadata_rows",
+    "read_metadata_columns",
     "read_metadata_csv",
     "write_matrix_csv",
     "write_kernel_csv",
@@ -59,6 +61,9 @@ VOL_MAGIC = b"VOL1"
 MSK_MAGIC = b"MSK1"
 
 METADATA_HEADER = ["exam_id", "source", "value"]
+
+# Distinct row codes of read_metadata_columns: 2 * source index + vote.
+_CODES = 2 * len(SOURCES)
 
 # Cells per block of rows in write_matrix_csv.
 _CSV_BLOCK_CELLS = 2**15
@@ -140,20 +145,19 @@ def write_metadata_rows(path: str, rows: list[RawAnnotation]) -> None:
     write_csv_table(path, METADATA_HEADER, [(r.exam_id, r.source.value, r.value) for r in rows])
 
 
-def read_metadata_csv(path: str) -> list[AnnotationVector]:
-    """An exam_id,source,value CSV as per-exam vote vectors, exams in
-    first-appearance order, each row checked as it is read.
+def read_metadata_columns(path: str) -> VoteColumns:
+    """An exam_id,source,value CSV as VoteColumns, each row checked as read.
 
-    Equivocal scores binarize to an abstention and contribute no vote,
-    but the exam still appears (possibly with an empty vector).  A value
-    with an underscore or a character that is not ASCII is not an
-    integer, though int() takes ``0_4`` and Arabic-Indic digits.  Each
-    distinct (source, value) text pair is checked once; a pair that fails
-    is not remembered, so every bad row is reported with its own exam,
-    file and line.
+    An equivocal score is no vote, but its exam still appears.  An empty
+    exam id is an error, and so is a value with an underscore or a
+    character that is not ASCII, though int() takes ``0_4`` and
+    Arabic-Indic digits.  Each distinct (source, value) text pair is
+    checked once; a pair that fails is not remembered, so every bad row is
+    reported with its own exam, file and line (a multi-line row's last).
     """
-    exams: dict[str, tuple[list[int], list[Source]]] = {}  # insertion order is first appearance
-    scores: dict[tuple[str, str], tuple[Source, int | None]] = {}
+    exams: dict[str, int] = {}  # insertion order is first appearance
+    codes: dict[tuple[str, str], int] = {}  # 2 * source index + vote, or -1 to abstain
+    packed: list[int] = []  # _CODES * exam index + code, per vote
     reader = csv.reader(_text_lines(path, newline=""))
     try:
         header = next(reader, None)
@@ -166,29 +170,24 @@ def read_metadata_csv(path: str) -> list[AnnotationVector]:
         for row in reader:
             if not row:
                 continue
-            lineno = reader.line_num  # a quoted field may span lines; this is the row's last
-            if len(row) != 3:
-                raise FileFormatError(f"expected 3 fields, got {len(row)}", path, lineno)
+            if len(row) != 3 or not row[0]:
+                reason = "empty exam id" if len(row) == 3 else f"expected 3 fields, got {len(row)}"
+                raise FileFormatError(reason, path, reader.line_num)
             exam_id, source_str, value_str = row
-            score = scores.get((source_str, value_str))
-            if score is None:
-                score = scores[source_str, value_str] = _score(
-                    exam_id, source_str, value_str, path, lineno
-                )
-            source, vote = score
-            votes, sources = exams.setdefault(exam_id, ([], []))
-            if vote is not None:
-                votes.append(vote)
-                sources.append(source)
+            code = codes.get((source_str, value_str))
+            if code is None:
+                code = codes[source_str, value_str] = _score(*row, path, reader.line_num)
+            exam = exams.setdefault(exam_id, len(exams))
+            if code >= 0:
+                packed.append(_CODES * exam + code)
     except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
         raise FileFormatError(str(exc), path, reader.line_num) from None
-    return [AnnotationVector(eid, tuple(v), tuple(s)) for eid, (v, s) in exams.items()]
+    exam, code = np.divmod(np.array(packed, dtype=np.int64), _CODES)
+    return VoteColumns(list(exams), exam, code & 1, (code >> 1).astype(np.int8))
 
 
-def _score(
-    exam_id: str, source_str: str, value_str: str, path: str, lineno: int
-) -> tuple[Source, int | None]:
-    """A row's source and binarized vote, or the FileFormatError naming its line."""
+def _score(exam_id: str, source_str: str, value_str: str, path: str, lineno: int) -> int:
+    """A row's 2 * source index + vote (-1 abstains), or the FileFormatError naming its line."""
     try:
         source = Source(source_str)
     except ValueError:
@@ -202,9 +201,20 @@ def _score(
     except ValueError:
         raise FileFormatError(f"value {value_str!r} is not an integer", path, lineno) from None
     try:
-        return source, binarize(source, value)
+        vote = binarize(source, value)
     except AnnotationError as exc:
         raise FileFormatError(f"exam {exam_id!r}: {exc}", path, lineno) from None
+    return -1 if vote is None else 2 * SOURCES.index(source) + vote
+
+
+def read_metadata_csv(path: str) -> list[AnnotationVector]:
+    """read_metadata_columns' exams as per-exam vote vectors."""
+    columns = read_metadata_columns(path)
+    exams = [([], []) for _ in columns.exam_ids]
+    for exam, vote, source in zip(columns.exam.tolist(), columns.votes.tolist(), columns.sources.tolist()):
+        exams[exam][0].append(vote)
+        exams[exam][1].append(SOURCES[source])
+    return [AnnotationVector(e, tuple(v), tuple(s)) for e, (v, s) in zip(columns.exam_ids, exams)]
 
 
 # ---------------------------------------------------------------------------

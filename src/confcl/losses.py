@@ -51,7 +51,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .metadata import KernelMatrix, KernelVariant, MetadataSummary
+from .metadata import KernelMatrix, KernelVariant, MetadataSummary, class_table, summary_columns
 
 __all__ = [
     "EPS_DIST",
@@ -68,6 +68,7 @@ __all__ = [
     "pairwise_distances",
     "loss_conditional",
     "partition_batch",
+    "batch_inputs",
     "loss_decoupled",
     "evaluate_loss",
     "loss_gradient",
@@ -335,7 +336,7 @@ def _evaluate(
             if g.table is None:
                 w = np.zeros((len(rows), m))
             else:
-                w = g.table[g.classes[lo : lo + b, None], g.classes]
+                w = g.table.take(g.classes[lo : lo + b], axis=0).take(g.classes, axis=1)
             _same_exam(w, lo)[:] = 1.0
             # A zero weight adds exactly 0, even where d overflowed to inf.
             aligned += np.multiply(w, d_b, out=np.zeros(d_b.shape), where=w != 0).sum()
@@ -412,21 +413,27 @@ def partition_batch(
     summaries: list[MetadataSummary],
     variant: KernelVariant = KernelVariant.PROPOSED,
 ) -> BatchPartition:
-    """Split batch rows into labeled and unlabeled groups by summary state.
+    """batch_inputs' partition of the summaries' rows."""
+    return batch_inputs(*summary_columns(summaries), variant)[0]
 
-    Unlabeled summaries always go to the unlabeled group.  The
-    high-confidence variant additionally routes labeled exams with
-    confidence below 1 to the unlabeled group, so its kernel only ever
-    sees unanimous exams.
-    """
-    labeled: list[int] = []
-    unlabeled: list[int] = []
-    for idx, s in enumerate(summaries):
-        keep = s.is_labeled
-        if keep and variant is KernelVariant.HIGH_CONFIDENCE and s.confidence != 1.0:
-            keep = False
-        (labeled if keep else unlabeled).append(idx)
-    return BatchPartition(tuple(labeled), tuple(unlabeled))
+
+def batch_inputs(
+    label: np.ndarray, confidence: np.ndarray, variant: KernelVariant | None
+) -> tuple[BatchPartition, KernelMatrix | None]:
+    """The rows' partition by their (label, confidence) columns, label -1
+    being unlabeled, and the labeled rows' class_table kernel (n = 0 when
+    none is).  The high-confidence variant also routes confidence below 1
+    to the unlabeled group, so its kernel only sees unanimous exams; with
+    no variant (metadata ignored) every row is unlabeled and no kernel."""
+    keep = (label >= 0) & (variant is not None)
+    if variant is KernelVariant.HIGH_CONFIDENCE:
+        keep &= confidence == 1.0
+    rows = np.flatnonzero(keep)
+    partition = BatchPartition(tuple(rows.tolist()), tuple(np.flatnonzero(~keep).tolist()))
+    if variant is None:
+        return partition, None
+    classes, table = class_table(label[rows], confidence[rows], variant)
+    return partition, KernelMatrix(table, classes)
 
 
 def loss_decoupled(

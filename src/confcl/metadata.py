@@ -6,13 +6,16 @@ majority label plus a confidence in (0, 1]; exams without a usable majority
 stay unlabeled.  Pairs of labeled exams are weighted by a kernel that is 1
 on the diagonal (two views of the same exam), min(c_i, c_j) for equal
 labels, and 0 for different labels, with ablation variants that coarsen
-the confidence weighting.
+the confidence weighting.  Both rules live once, over columns
+(``summarize_votes`` and ``class_table``); the per-exam objects and their
+functions are views over them.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,12 +28,16 @@ __all__ = [
     "MetadataSummary",
     "KernelVariant",
     "KernelMatrix",
+    "VoteColumns",
     "binarize",
     "check_epsilon",
     "check_field_types",
     "confidence",
+    "vote_columns",
+    "summarize_votes",
     "summarize",
     "summarize_batch",
+    "class_table",
     "kernel_classes",
     "kernel_matrix",
 ]
@@ -56,6 +63,9 @@ class Source(enum.Enum):
     ISUP = "isup"
 
 
+SOURCES = tuple(Source)
+
+
 class KernelVariant(enum.Enum):
     PROPOSED = "proposed"
     HIGH_CONFIDENCE = "hc"
@@ -71,6 +81,8 @@ class RawAnnotation:
     value: int
 
     def __post_init__(self) -> None:
+        if not self.exam_id:
+            raise AnnotationError("empty exam id")
         try:
             binarize(self.source, self.value)
         except AnnotationError as exc:
@@ -168,6 +180,16 @@ class KernelMatrix:
         return len(self.classes)
 
 
+class VoteColumns(NamedTuple):
+    """Exam ids, and for vote k its exam's index, its value (0 or 1) and
+    its source's index in SOURCES.  An exam may have no vote."""
+
+    exam_ids: list[str]
+    exam: np.ndarray
+    votes: np.ndarray
+    sources: np.ndarray
+
+
 # ---------------------------------------------------------------------------
 # Binarization and confidence
 # ---------------------------------------------------------------------------
@@ -218,47 +240,76 @@ def check_field_types(settings) -> None:
             raise ValueError(f"{f.name} must be a bool, got {value!r}")
 
 
-def _confidence(ones: int, n: int, epsilon: float) -> float:
-    """Confidence of n >= 1 votes, ones of them 1: epsilon for a single vote,
-    else (2 * majority - n) / n, which int true division rounds once."""
-    if n == 1:
-        return epsilon
-    return (2 * max(ones, n - ones) - n) / n
-
-
 def confidence(votes: tuple[int, ...] | list[int], epsilon: float = DEFAULT_EPSILON) -> float:
-    """Majority-vote confidence of a nonempty binary vote vector.
+    """summarize_votes' confidence of a nonempty binary vote vector."""
+    if len(votes) == 0:
+        raise AnnotationError("confidence of an empty vote vector is undefined")
+    vector = AnnotationVector("", tuple(votes), (Source.PIRADS,) * len(votes))
+    return float(summarize_votes(vote_columns([vector]), epsilon)[1][0])
 
-    A single vote earns the floor confidence ``epsilon``.  With n > 1
-    votes the confidence is 2 * (majority_count / n - 1/2): 0 for a tie,
-    1 for unanimity, and strictly increasing in the majority count.  The
-    ratio is formed in exact integer arithmetic and rounded to float once.
+
+def vote_columns(vectors: list[AnnotationVector] | tuple[AnnotationVector, ...]) -> VoteColumns:
+    """The vectors' exams, in order, and votes as VoteColumns."""
+    return VoteColumns(
+        [v.exam_id for v in vectors],
+        np.repeat(np.arange(len(vectors)), [v.n for v in vectors]),
+        np.array([x for v in vectors for x in v.votes], dtype=np.int64),
+        np.array([SOURCES.index(x) for v in vectors for x in v.sources], dtype=np.int8),
+    )
+
+
+def summarize_votes(
+    votes: VoteColumns,
+    epsilon: float = DEFAULT_EPSILON,
+    trusted: Source | None = None,
+    overrides: dict[str, float] | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every exam's label and confidence: label -1 (unlabeled) for no vote
+    or a tie, else the majority vote.  With n > 1 votes, ``ones`` of them 1,
+    the confidence is 2 * (majority / n - 1/2) = (2 max(ones, n - ones) - n)
+    / n in int64, divided once: 0 for a tie, 1 for unanimity.  A lone vote
+    gets epsilon, or 1 from the trusted source; ``overrides`` maps an exam
+    id to the epsilon it gets instead of either.  No vote gives 0.
     """
     check_epsilon(epsilon)
-    n = len(votes)
-    if n == 0:
-        raise AnnotationError("confidence of an empty vote vector is undefined")
-    return _confidence(sum(1 for v in votes if v == 1), n, epsilon)
+    size = len(votes.exam_ids)
+    n = np.bincount(votes.exam, minlength=size)
+    ones = np.bincount(votes.exam[votes.votes == 1], minlength=size)
+    conf = np.divide(2 * np.maximum(ones, n - ones) - n, n, out=np.zeros(size), where=n > 1)
+    lone = np.full(size, float(epsilon))
+    if trusted is not None:
+        lone[np.bincount(votes.exam[votes.sources == SOURCES.index(trusted)], minlength=size) > 0] = 1.0
+    for exam_id, value in (overrides or {}).items():
+        if exam_id not in votes.exam_ids:
+            raise AnnotationError(f"no exam {exam_id!r} to override")
+        lone[votes.exam_ids.index(exam_id)] = check_epsilon(value)
+    return np.where(2 * ones == n, -1, (2 * ones > n).astype(np.int64)), np.where(n == 1, lone, conf)
+
+
+def summary_columns(summaries: list[MetadataSummary]) -> tuple[np.ndarray, np.ndarray]:
+    """MetadataSummary objects as summarize_votes' (label, confidence) columns."""
+    label = np.array([s.label if s.is_labeled else -1 for s in summaries], dtype=np.int64)
+    return label, np.array([s.confidence or 0.0 for s in summaries], dtype=np.float64)
+
+
+def _summaries(vectors: list[AnnotationVector], epsilon: float, trusted: Source | None) -> list[MetadataSummary]:
+    label, conf = summarize_votes(vote_columns(vectors), epsilon, trusted)
+    return [
+        MetadataSummary.unlabeled(v.exam_id) if y < 0 else MetadataSummary.labeled(v.exam_id, y, c)
+        for v, y, c in zip(vectors, label.tolist(), conf.tolist())
+    ]
 
 
 def summarize(
     vector: AnnotationVector, epsilon: float = DEFAULT_EPSILON, trusted: Source | None = None
 ) -> MetadataSummary:
-    """Collapse an exam's votes to a labeled or unlabeled summary; empty
-    vectors and exact ties are unlabeled.  A lone vote from the trusted
-    source gets confidence 1, and any other lone vote epsilon."""
-    check_epsilon(epsilon)
-    n, ones = vector.n, sum(vector.votes)
-    if 2 * ones == n:
-        return MetadataSummary.unlabeled(vector.exam_id)
-    if n == 1 and trusted is not None and vector.sources[0] is trusted:
-        epsilon = 1.0
-    return MetadataSummary.labeled(vector.exam_id, int(2 * ones > n), _confidence(ones, n, epsilon))
+    """summarize_votes of one exam as a MetadataSummary."""
+    return _summaries([vector], epsilon, trusted)[0]
 
 
 def summarize_batch(vectors: list[AnnotationVector], epsilon: float = DEFAULT_EPSILON) -> list[MetadataSummary]:
     """summarize of each vector with no trusted source, so not for the biopsy variant."""
-    return [summarize(v, epsilon) for v in vectors]
+    return _summaries(vectors, epsilon, None)
 
 
 # ---------------------------------------------------------------------------
@@ -266,41 +317,44 @@ def summarize_batch(vectors: list[AnnotationVector], epsilon: float = DEFAULT_EP
 # ---------------------------------------------------------------------------
 
 
-def kernel_classes(
-    summaries: list[MetadataSummary],
-    variant: KernelVariant = KernelVariant.PROPOSED,
+def class_table(
+    label: np.ndarray, confidence: np.ndarray, variant: KernelVariant = KernelVariant.PROPOSED
 ) -> tuple[np.ndarray, np.ndarray]:
     """Each labeled exam's class among the K distinct (label, confidence)
     pairs, each taken from its first exam, and the K x K off-diagonal
     weights between classes: 0 for different labels, and for equal labels
+    min(c_i, c_j) of the classes' weights c, which are
 
-    - PROPOSED: min(c_i, c_j),
-    - HIGH_CONFIDENCE: 0.8 when both confidences are exactly 1, else 0,
+    - PROPOSED: the confidences,
+    - HIGH_CONFIDENCE: 0.8 where the confidence is exactly 1, else 0,
     - MAJORITY_VOTING: 0.8 flat,
 
     so the table is symmetric with entries in [0, 1].
     """
-    for s in summaries:
-        if not s.is_labeled:
-            raise AnnotationError(
-                f"exam {s.exam_id!r} is unlabeled; kernels are built over labeled exams"
-            )
-    labels = np.array([s.label for s in summaries])
-    conf = np.array([s.confidence for s in summaries], dtype=np.float64)
-    pairs = np.stack([labels, conf], axis=1)
-    _, first, classes = np.unique(pairs, axis=0, return_index=True, return_inverse=True)
-    labels, conf = labels[first], conf[first]
-    equal = labels[:, None] == labels[None, :]
-    if variant is KernelVariant.PROPOSED:
-        w = np.where(equal, np.minimum(conf[:, None], conf[None, :]), 0.0)
-    elif variant is KernelVariant.HIGH_CONFIDENCE:
-        sure = conf == 1.0
-        w = np.where(equal & sure[:, None] & sure[None, :], COARSE_WEIGHT, 0.0)
+    # One complex key per (label, confidence) pair: numpy orders complex
+    # numbers by real part, then imaginary, as np.unique(axis=0) orders rows.
+    _, first, classes = np.unique(label + 1j * confidence, return_index=True, return_inverse=True)
+    labels, conf = label[first], confidence[first]
+    if variant is KernelVariant.HIGH_CONFIDENCE:
+        conf = np.where(conf == 1.0, COARSE_WEIGHT, 0.0)
     elif variant is KernelVariant.MAJORITY_VOTING:
-        w = np.where(equal, COARSE_WEIGHT, 0.0)
-    else:
+        conf = np.full(len(conf), COARSE_WEIGHT)
+    elif variant is not KernelVariant.PROPOSED:
         raise ValueError(f"unknown kernel variant {variant!r}")
+    w = np.where(labels[:, None] == labels[None, :], np.minimum(conf[:, None], conf[None, :]), 0.0)
     return classes.reshape(-1), w
+
+
+def kernel_classes(
+    summaries: list[MetadataSummary],
+    variant: KernelVariant = KernelVariant.PROPOSED,
+) -> tuple[np.ndarray, np.ndarray]:
+    """class_table of labeled summaries."""
+    label, conf = summary_columns(summaries)
+    if (label < 0).any():
+        unlabeled = summaries[int(np.argmin(label))].exam_id
+        raise AnnotationError(f"exam {unlabeled!r} is unlabeled; kernels are built over labeled exams")
+    return class_table(label, conf, variant)
 
 
 def kernel_matrix(

@@ -707,14 +707,15 @@ def test_run_cell_summarizes_each_exam_once_and_builds_one_block(monkeypatch):
     import confcl.bench as bench
 
     counts = Counter()
-    # Looked up through the bench module, where the perfbench tracer binds them.
-    for name in ("summarize", "batch_loss_inputs", "generate_dataset", "train"):
+    # Looked up through the bench module, where the cell binds them: one
+    # summary pass over every exam's votes, as columns.
+    for name in ("summarize_votes", "batch_inputs", "generate_dataset", "train"):
         monkeypatch.setattr(bench, name, _counting(counts, name, getattr(bench, name)))
     cfg = _small_config()
     assert bench.run_study(cfg, ["proposed"], [0]).records[0].error is None
     assert counts == {
-        "summarize": cfg.n_exams,
-        "batch_loss_inputs": 1,
+        "summarize_votes": 1,
+        "batch_inputs": 1,
         "generate_dataset": 1,
         "train": 1,
     }
